@@ -24,11 +24,20 @@ import (
 //
 // Layout: <dir>/<key[:2]>/<key>.json, one atomic file per run (written to
 // a temp name, then renamed), so concurrent workers — or concurrent
-// campaigns sharing one directory — never observe a torn entry.
+// campaigns sharing one directory — never observe a torn entry. Each entry
+// also records the key it was written under, so a file that sits at
+// another key's path — copied, misplaced or corrupted into valid JSON —
+// cannot stand in for that key's run.
 
 // cacheSchema versions the on-disk format; bump on layout changes so stale
 // trees never parse as fresh results.
-const cacheSchema = "mptcpsim-campaign-cache-v1"
+const cacheSchema = "mptcpsim-campaign-cache-v2"
+
+// cacheEntry is the on-disk form of one cached run.
+type cacheEntry struct {
+	Key    string              `json:"key"`
+	Report *scenario.RunReport `json:"report"`
+}
 
 // CacheKey returns the content address of one scenario run under the given
 // code version: hex SHA-256 over the schema tag, the version, and the
@@ -71,8 +80,9 @@ func (c *cache) path(key string) string {
 }
 
 // get loads the cached report for key. A missing, torn or stale-schema
-// entry is a miss, never an error: the caller falls back to simulating and
-// rewrites the entry.
+// entry is a miss, never an error, and so is an entry recording a
+// different key: the caller falls back to simulating and rewrites the
+// entry.
 func (c *cache) get(key string) (*scenario.RunReport, bool) {
 	if c == nil {
 		return nil, false
@@ -81,11 +91,11 @@ func (c *cache) get(key string) (*scenario.RunReport, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var rep scenario.RunReport
-	if err := json.Unmarshal(data, &rep); err != nil {
+	var e cacheEntry
+	if err := json.Unmarshal(data, &e); err != nil || e.Key != key || e.Report == nil {
 		return nil, false
 	}
-	return &rep, true
+	return e.Report, true
 }
 
 // put stores a completed run under key, atomically: the entry is fully
@@ -95,7 +105,7 @@ func (c *cache) put(key string, rep *scenario.RunReport) error {
 	if c == nil {
 		return nil
 	}
-	data, err := json.Marshal(rep)
+	data, err := json.Marshal(cacheEntry{Key: key, Report: rep})
 	if err != nil {
 		return fmt.Errorf("campaign: encoding report for cache: %w", err)
 	}

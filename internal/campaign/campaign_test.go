@@ -296,6 +296,54 @@ func TestRunWarmCache(t *testing.T) {
 	}
 }
 
+// TestRunMisplacedCacheEntry: an entry file that sits at another key's
+// path — here scenario 0's report copied over scenario 1's — records the
+// wrong key, so the warm run treats it as a miss and re-simulates scenario
+// 1 instead of folding scenario 0's report twice.
+func TestRunMisplacedCacheEntry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates scenarios; skipped in -short")
+	}
+	sp := tinySpec()
+	sp.N = 8
+	sp.CacheDir = filepath.Join(t.TempDir(), "cache")
+	cold, err := Run(context.Background(), sp, Options{Workers: 2, Version: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &cache{dir: sp.CacheDir}
+	var keys [2]string
+	for i := range keys {
+		if keys[i], err = CacheKey("test", sp.fill().SampleSpec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(c.path(keys[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.path(keys[1]), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.get(keys[1]); ok {
+		t.Fatal("entry recording another key served as a hit")
+	}
+	warm, err := Run(context.Background(), sp, Options{Workers: 2, Version: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Simulated != 1 || warm.CacheHits != sp.N-1 {
+		t.Errorf("warm run: simulated %d / hits %d, want 1 / %d", warm.Simulated, warm.CacheHits, sp.N-1)
+	}
+	if cold.Digest() != warm.Digest() {
+		t.Errorf("warm digest %s differs from cold %s", warm.Digest(), cold.Digest())
+	}
+	// The re-simulation rewrote the entry under its own key.
+	if _, ok := c.get(keys[1]); !ok {
+		t.Error("re-simulated entry not rewritten")
+	}
+}
+
 func TestRunProgressAndCancel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates scenarios; skipped in -short")

@@ -53,16 +53,16 @@ func launchLongFlow(ft *topo.FatTree, src, dst int, algo string, nsub, flowID in
 	return mpFlow{conn}
 }
 
-// dcThroughput runs the §VI-B1 experiment: every host sends one long-lived
-// flow to a random other host (derangement); reports each flow's goodput as
-// a percentage of the optimal (line rate).
-func dcThroughput(cfg Config, algo string, nsub int, seed int64) []float64 {
+// dcThroughput runs the §VI-B1 experiment at point p: every host sends one
+// long-lived flow to a random other host (derangement); reports each flow's
+// goodput as a percentage of the optimal (line rate).
+func dcThroughput(cfg Config, p dcPoint, seed int64) []float64 {
 	ft := topo.NewFatTree(topo.FatTreeConfig{K: cfg.FatTreeK, Seed: seed})
 	n := ft.NumHosts()
 	perm := workload.Permutation(ft.S.Rand(), n)
 	flows := make([]hostFlow, n)
 	for i := 0; i < n; i++ {
-		flows[i] = launchLongFlow(ft, i, perm[i], algo, nsub, 10_000+100*i)
+		flows[i] = launchLongFlow(ft, i, perm[i], p.algo, p.nsub, 10_000+100*i)
 	}
 	ft.S.RunUntil(cfg.DCWarmup)
 	base := make([]int64, n)
@@ -91,22 +91,24 @@ type dcAggregate struct {
 	agg   stats.Summary // per-seed mean of per-flow %-of-optimal
 }
 
+// dcThroughputRuns is the run family behind Figs. 13(a) and 13(b): Fig.
+// 13(b) plots the per-flow vectors of Fig. 13(a)'s base-seed runs.
+var dcThroughputRuns = &runFamily[dcPoint, []float64]{run: dcThroughput}
+
 // collectDCThroughput fans the §VI-B1 grid out on the worker pool: one job
-// per (point × seed), each reduced to its per-flow mean; per-seed means
-// merge in seed order.
+// per (point × seed), each per-flow vector reduced to its mean in the
+// merge; per-seed means merge in seed order.
 func collectDCThroughput(cfg Config, pts []dcPoint) []dcAggregate {
-	per := sweep(cfg, pts, func(p dcPoint, seed int64) float64 {
-		var sum stats.Summary
-		for _, v := range dcThroughput(cfg, p.algo, p.nsub, seed) {
-			sum.Add(v)
-		}
-		return sum.Mean()
-	})
+	per := dcThroughputRuns.sweep(cfg, pts)
 	out := make([]dcAggregate, len(pts))
 	for i, p := range pts {
 		out[i].point = p
-		for _, mean := range per[i] {
-			out[i].agg.Add(mean)
+		for _, flows := range per[i] {
+			var sum stats.Summary
+			for _, v := range flows {
+				sum.Add(v)
+			}
+			out[i].agg.Add(sum.Mean())
 		}
 	}
 	return out
@@ -163,8 +165,8 @@ func fig13b(cfg Config) (*Result, error) {
 	nsub := cfg.Subflows[len(cfg.Subflows)-1]
 	pts := []dcPoint{{"lia", nsub}, {"olia", nsub}, {"tcp", 1}}
 	// One repetition at the base seed, as in the paper's ranked plot.
-	perFlow := perPoint(cfg, pts, func(p dcPoint) []float64 {
-		return dcThroughput(cfg, p.algo, p.nsub, cfg.BaseSeed)
+	perFlow := dcThroughputRuns.runs(cfg, len(pts), func(i int) (dcPoint, int64) {
+		return pts[i], cfg.BaseSeed
 	})
 
 	r := &Result{
@@ -258,13 +260,15 @@ func dcShortFlows(cfg Config, algo string, seed int64) shortFlowResult {
 // dcShortAlgos is the §VI-B2 comparison set, in table order.
 var dcShortAlgos = []string{"lia", "olia", "tcp"}
 
+// dcShortFlowRuns is the run family behind Fig. 14 and Table III, two views
+// of the same short-flow runs.
+var dcShortFlowRuns = &runFamily[string, shortFlowResult]{run: dcShortFlows}
+
 // collectDCShortFlows runs the short-flow experiment for every algorithm,
 // one pool job per (algorithm × seed), returning per-seed results in seed
 // order per algorithm.
 func collectDCShortFlows(cfg Config) [][]shortFlowResult {
-	return sweep(cfg, dcShortAlgos, func(algo string, seed int64) shortFlowResult {
-		return dcShortFlows(cfg, algo, seed)
-	})
+	return dcShortFlowRuns.sweep(cfg, dcShortAlgos)
 }
 
 // table3 collects short-flow completion statistics and core utilization.

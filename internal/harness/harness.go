@@ -88,6 +88,11 @@ type Config struct {
 	// (runner.Progress serializes counter updates with their emissions so
 	// the EventJobs stream is monotone).
 	jobs *runner.Progress
+	// runs is the call-scoped run table RunAll installs, so each distinct
+	// simulation of a run family executes once per call however many
+	// experiments plot it; nil (CollectResult, Lab.Collect) shares nothing,
+	// so every family sweep claims into a fresh table and runs every job.
+	runs *runTable
 	// fail collects sweep-level failures (recovered job panics) for one
 	// experiment's collection. Installed per CollectResult call: sweeps keep
 	// merging zero values so no merge logic grows an error path, and

@@ -127,8 +127,8 @@ func TestDCThroughputShape(t *testing.T) {
 	cfg := tinyConfig()
 	// MPTCP with several subflows must beat single-path TCP on aggregate
 	// (the core Fig. 13(a) claim).
-	tcp := dcThroughput(cfg, "tcp", 1, 1)
-	olia := dcThroughput(cfg, "olia", 3, 1)
+	tcp := dcThroughput(cfg, dcPoint{"tcp", 1}, 1)
+	olia := dcThroughput(cfg, dcPoint{"olia", 3}, 1)
 	var tcpSum, oliaSum float64
 	for i := range tcp {
 		tcpSum += tcp[i]

@@ -190,9 +190,7 @@ func TestPerSeedResultsIndependentOfWorkers(t *testing.T) {
 			{c1: 1.5, n1: 20, algo: "olia"},
 		}
 		return sweep(cfg, points, func(p aPoint, seed int64) aMetrics {
-			return runScenarioA(aSpec{
-				n1: p.n1, n2: 10, c1: p.c1, c2: 1.0, algo: p.algo, seed: seed,
-			}, cfg)
+			return runScenarioA(cfg, p, seed)
 		})
 	}
 	ref := collect(1)

@@ -18,8 +18,14 @@ import (
 //
 // Experiments run concurrently (one orchestration goroutine each) and
 // their simulation jobs share one worker pool, so at most cfg.Workers
-// simulations execute at any moment no matter how the fan-out nests. Each
-// experiment collects and renders into its own buffer, and buffers are
+// simulations execute at any moment no matter how the fan-out nests.
+// Experiments also share simulations: each distinct run of a run family
+// (one Scenario A or C cell, one FatTree run, at one seed) executes once
+// per call and every experiment that plots it reads its value, so
+// progress totals count distinct runs. Nothing is kept between calls, and
+// CollectResult shares nothing.
+//
+// Each experiment collects and renders into its own buffer, and buffers are
 // flushed progressively: experiment i's output appears as soon as
 // experiments 0..i have finished, so a long registry run streams results
 // as they complete while the bytes remain identical to a sequential run.
@@ -53,6 +59,7 @@ func RunAll(ctx context.Context, cfg Config, ids []string, format Format, w io.W
 	}
 	cfg.pool = runner.New(cfg.Workers)
 	cfg.jobs = cfg.newJobCounter() // one cumulative counter across every experiment
+	cfg.runs = newRunTable()       // dropped with cfg when the call returns
 	type outcome struct {
 		buf bytes.Buffer
 		err error

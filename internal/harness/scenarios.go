@@ -27,24 +27,16 @@ type aMetrics struct {
 	t1Norm, t2Norm, p1, p2 float64
 }
 
-// aSpec describes one Scenario A cell: N1 type1 users, N2 type2 users,
-// per-user capacities C1 and C2 (Mb/s), and the coupling algorithm.
-type aSpec struct {
-	n1, n2 int
-	c1, c2 float64
-	algo   string
-	seed   int64
-}
-
-// runScenarioA executes one Scenario A simulation — compiled from the
-// shared declarative spec (scenario.PaperScenarioA, which wires the
-// identical rig topo.BuildScenarioA hand-builds, so migrating the figure
-// collection here changed no output bytes; the golden snapshots lock
-// this) — and reports normalized throughputs and loss probabilities over
-// the measurement window.
-func runScenarioA(c aSpec, cfg Config) aMetrics {
+// runScenarioA executes one Scenario A simulation at sweep cell p (N1 =
+// p.n1 type1 users at C1 = p.c1 Mb/s each, N2 = 10 type2 users at C2 =
+// 1 Mb/s) and reports normalized throughputs and loss probabilities over
+// the measurement window. The rig is compiled from the shared declarative
+// spec scenario.PaperScenarioA, which wires the identical rig
+// topo.BuildScenarioA hand-builds; the golden snapshots lock the bytes.
+func runScenarioA(cfg Config, p aPoint, seed int64) aMetrics {
+	const n2, c2 = 10, 1.0
 	n, err := scenario.Compile(scenario.PaperScenarioA(
-		c.n1, c.n2, c.c1, c.c2, c.algo, c.seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
+		p.n1, n2, p.c1, c2, p.algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
 	if err != nil {
 		panic(fmt.Sprintf("harness: scenario A spec invalid: %v", err))
 	}
@@ -63,10 +55,10 @@ func runScenarioA(c aSpec, cfg Config) aMetrics {
 	secs := cfg.Duration.Sec()
 	var m aMetrics
 	for i, f := range type1 {
-		m.t1Norm += stats.Mbps(f.GoodputBytes()-t1Base[i], secs) / c.c1 / float64(c.n1)
+		m.t1Norm += stats.Mbps(f.GoodputBytes()-t1Base[i], secs) / p.c1 / float64(p.n1)
 	}
 	for i, f := range type2 {
-		m.t2Norm += stats.Mbps(f.GoodputBytes()-t2Base[i], secs) / c.c2 / float64(c.n2)
+		m.t2Norm += stats.Mbps(f.GoodputBytes()-t2Base[i], secs) / c2 / float64(n2)
 	}
 	m.p1, m.p2 = l1.prob(), l2.prob()
 	return m
@@ -94,6 +86,11 @@ type aResult struct {
 	t1, t2, p1, p2 stats.Summary
 }
 
+// scenarioARuns is the run family behind Figs. 1(b,c), 9 and 10: the four
+// figures are views of one LIA+OLIA sweep, so under RunAll each cell and
+// seed simulates once for all of them.
+var scenarioARuns = &runFamily[aPoint, aMetrics]{run: runScenarioA}
+
 // collectScenarioA simulates the Figs. 1/9/10 grid for the given
 // algorithms. Every (cell × seed) run is an independent job on the worker
 // pool; per-seed metrics merge in seed order, so the result is identical
@@ -107,11 +104,7 @@ func collectScenarioA(cfg Config, algos []string) []aResult {
 			}
 		}
 	}
-	per := sweep(cfg, pts, func(p aPoint, seed int64) aMetrics {
-		return runScenarioA(aSpec{
-			n1: p.n1, n2: 10, c1: p.c1, c2: 1.0, algo: p.algo, seed: seed,
-		}, cfg)
-	})
+	per := scenarioARuns.sweep(cfg, pts)
 	out := make([]aResult, len(pts))
 	for i, p := range pts {
 		out[i].point = p
@@ -192,7 +185,14 @@ type cMetrics struct {
 	multiNorm, singleNorm, p1, p2 float64
 }
 
-func runScenarioC(c topo.ScenarioCConfig, cfg Config) cMetrics {
+// runScenarioC executes one Scenario C simulation at sweep cell p: N1 =
+// p.n1 multipath users at C1 = p.c1 Mb/s beside N2 = 10 single-path users
+// at C2 = 1 Mb/s.
+func runScenarioC(cfg Config, p cPoint, seed int64) cMetrics {
+	c := topo.ScenarioCConfig{
+		N1: p.n1, N2: 10, C1: p.c1, C2: 1.0,
+		Ctrl: topo.Controllers[p.algo], Seed: seed,
+	}
 	sc := topo.BuildScenarioC(c)
 	sc.S.RunUntil(cfg.Warmup)
 	var mBase, sBase []int64
@@ -236,6 +236,10 @@ type cResult struct {
 	multi, single, p1, p2 stats.Summary
 }
 
+// scenarioCRuns is the run family behind Figs. 5(c,d), 11 and 12, shared
+// the way scenarioARuns is.
+var scenarioCRuns = &runFamily[cPoint, cMetrics]{run: runScenarioC}
+
 // collectScenarioC simulates the Figs. 5/11/12 grid for the given
 // algorithms, one pool job per (cell × seed).
 func collectScenarioC(cfg Config, algos []string) []cResult {
@@ -247,12 +251,7 @@ func collectScenarioC(cfg Config, algos []string) []cResult {
 			}
 		}
 	}
-	per := sweep(cfg, pts, func(p cPoint, seed int64) cMetrics {
-		return runScenarioC(topo.ScenarioCConfig{
-			N1: p.n1, N2: 10, C1: p.c1, C2: 1.0,
-			Ctrl: topo.Controllers[p.algo], Seed: seed,
-		}, cfg)
-	})
+	per := scenarioCRuns.sweep(cfg, pts)
 	out := make([]cResult, len(pts))
 	for i, p := range pts {
 		out[i].point = p

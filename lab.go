@@ -170,7 +170,8 @@ func (l *Lab) validConfig(op string) error {
 // Collect regenerates one table or figure by ID (e.g. "fig9", "table3")
 // and returns its structured Result. Independent simulation jobs (sweep
 // points × seeds) run concurrently on the Lab's worker budget; the Result
-// is identical for any worker count. Cancelling ctx stops the collection
+// is identical for any worker count. Collect shares no simulation with
+// other calls: every job of the experiment runs. Cancelling ctx stops the collection
 // at the next job boundary with an ErrCanceled error.
 func (l *Lab) Collect(ctx context.Context, id string) (*Result, error) {
 	const op = "collect"
@@ -196,10 +197,13 @@ func (l *Lab) Collect(ctx context.Context, id string) (*Result, error) {
 // rendered result to w in listing order: text streams banner+table per
 // experiment, json one array of Result objects, csv one
 // blank-line-separated block per experiment. All experiments share one
-// pool of workers and the bytes are identical to running them one at a
-// time at any worker count. Cancelling ctx stops every experiment at the
-// next simulation-job boundary, flushes the experiments that already
-// completed, and returns an ErrCanceled error.
+// pool of workers, and each distinct simulation runs once per call even
+// when several experiments plot it (Figs. 1(b)/1(c)/9/10, for instance,
+// read the same Scenario A runs); nothing is kept for the next call. The
+// bytes are identical to running the experiments one at a time with
+// Collect, which shares nothing, at any worker count. Cancelling ctx
+// stops every experiment at the next simulation-job boundary, flushes the
+// experiments that already completed, and returns an ErrCanceled error.
 func (l *Lab) RunAll(ctx context.Context, ids []string, format Format, w io.Writer) error {
 	const op = "run-all"
 	if _, err := ParseFormat(string(format)); err != nil {

@@ -45,6 +45,21 @@ func waitGoroutines(t *testing.T, baseline int) {
 // mid-RunAll stops the run at the next job boundary, returns an error
 // matching both ErrCanceled and context.Canceled, and leaks no goroutines.
 func TestLabRunAllCancelMidFlight(t *testing.T) {
+	checkRunAllCancelMidFlight(t, []string{"fig1b", "fig1c", "fig9"})
+}
+
+// TestLabRunAllSharedCancelMidFlight is the same contract over every
+// experiment that reads another's runs: experiments waiting on a run
+// another one owns must be released by the cancellation too, never hang.
+func TestLabRunAllSharedCancelMidFlight(t *testing.T) {
+	checkRunAllCancelMidFlight(t, []string{
+		"fig1b", "fig1c", "fig9", "fig10", "fig5c", "fig5d",
+		"fig11", "fig12", "fig13a", "fig13b", "fig14", "table3",
+	})
+}
+
+func checkRunAllCancelMidFlight(t *testing.T, ids []string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("simulation in -short")
 	}
@@ -62,7 +77,7 @@ func TestLabRunAllCancelMidFlight(t *testing.T) {
 		}
 	}))
 	var buf bytes.Buffer
-	err := lab.RunAll(ctx, []string{"fig1b", "fig1c", "fig9"}, FormatText, &buf)
+	err := lab.RunAll(ctx, ids, FormatText, &buf)
 	if err == nil {
 		t.Fatal("cancelled RunAll returned nil error")
 	}
