@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check test race check lint apicheck examples conform conform-smoke bench bench-tables benchcheck bench-baseline clean
+.PHONY: build vet fmt-check test race check lint apicheck orphans examples conform conform-smoke bench bench-tables benchcheck bench-baseline clean
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check lint race apicheck
+check: build vet fmt-check lint race apicheck orphans
 
 # Repository-specific static analysis (internal/lint via cmd/simlint):
 # determinism (no wall clock / global rand / goroutines / order-sensitive
@@ -50,13 +50,26 @@ apicheck:
 		git --no-pager diff -- api.txt; exit 1; \
 	fi
 
-# Build every example and smoke-run each at reduced scale.
+# Orphan-package gate: every package under internal/ must be imported by
+# another package of the module (test imports count), so dead code cannot
+# linger as a package nothing uses. Lines from the first `go list` are the
+# imports of each package minus self-imports; PKG lines name the packages.
+orphans:
+	@{ $(GO) list -f '{{$$p := .ImportPath}}{{range .Imports}}{{if ne . $$p}}{{println .}}{{end}}{{end}}{{range .TestImports}}{{if ne . $$p}}{{println .}}{{end}}{{end}}{{range .XTestImports}}{{if ne . $$p}}{{println .}}{{end}}{{end}}' ./... && \
+	  $(GO) list -f 'PKG {{.ImportPath}}' ./internal/...; } | \
+	awk '/^PKG /{pkg[$$2] = 1; n++; next} {imported[$$0] = 1} \
+	  END {if (!n) {print "orphans: go list named no packages"; exit 1} \
+	    for (p in pkg) if (!(p in imported)) {print "orphan package, imported by nothing: " p; bad = 1}; exit bad}'
+
+# Build every example and smoke-run each at reduced scale, plus the
+# olia-trace recorder.
 examples:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/quickstart -seconds 5 > /dev/null
 	$(GO) run ./examples/scenario_a -seconds 5 > /dev/null
 	$(GO) run ./examples/wireless_handover > /dev/null
 	$(GO) run ./examples/datacenter -seconds 1 > /dev/null
+	$(GO) run ./cmd/olia-trace -seconds 5 > /dev/null
 
 # Scenario fuzzer + cross-model conformance suite: 200 generated scenarios
 # under the full invariant set, then packet-vs-fluid/fixed-point goodput

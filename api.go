@@ -21,9 +21,6 @@
 //     context (errors wrap ErrCanceled) and observed in flight via
 //     WithProgress; failures are matchable with errors.Is/As against the
 //     typed error family in errors.go.
-//   - The free functions mirroring those methods (RunExperiment,
-//     FuzzScenarios, ...) are deprecated compatibility wrappers over a
-//     default Lab, byte-identical in output.
 //   - Rendering and comparison stay pure functions: RenderResult, Diff,
 //     ParseFormat.
 //
@@ -31,15 +28,14 @@
 package mptcpsim
 
 import (
-	"context"
 	"io"
 	"sort"
 
 	"mptcpsim/internal/campaign"
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/harness"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/scenario"
-	"mptcpsim/internal/topo"
 )
 
 // Experiment is one table or figure of the paper (see harness).
@@ -215,8 +211,8 @@ type (
 
 // algorithmNames is the sorted controller list, computed once at init.
 var algorithmNames = func() []string {
-	out := make([]string, 0, len(topo.Controllers))
-	for name := range topo.Controllers {
+	out := make([]string, 0, len(core.Controllers))
+	for name := range core.Controllers {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -240,89 +236,9 @@ func Schedulers() []string {
 	return mptcp.Schedulers()
 }
 
-// --- Deprecated compatibility wrappers -------------------------------------
-//
-// Each free function below predates the Lab engine and now delegates to a
-// default Lab under context.Background(). Output is byte-identical to the
-// Lab methods; only cancellation, progress streaming and typed-error
-// matching require migrating (see README "Migrating to the Lab API").
-
-// CollectExperiment regenerates one table or figure by ID and returns its
-// structured Result.
-//
-// Deprecated: use Lab.Collect, which adds cancellation, progress events
-// and typed errors.
-func CollectExperiment(id string, cfg Config) (*Result, error) {
-	return NewLab(WithConfig(cfg)).Collect(context.Background(), id)
-}
-
-// RunExperiment regenerates one table or figure by ID, writing its text
-// table to w — CollectExperiment followed by the text renderer.
-//
-// Deprecated: use Lab.Collect with RenderResult.
-func RunExperiment(id string, cfg Config, w io.Writer) error {
-	r, err := NewLab(WithConfig(cfg)).Collect(context.Background(), id)
-	if err != nil {
-		return err
-	}
-	return harness.RenderText(r, w)
-}
-
-// RunAll regenerates the experiments with the given IDs — the full registry
-// in paper order when ids is empty — writing each experiment's banner and
-// text table to w in listing order.
-//
-// Deprecated: use Lab.RunAll, which adds cancellation, progress events and
-// typed errors.
-func RunAll(ids []string, cfg Config, w io.Writer) error {
-	return NewLab(WithConfig(cfg)).RunAll(context.Background(), ids, FormatText, w)
-}
-
-// RunAllFormat is RunAll with a Format option: text streams each
-// experiment's banner and table, json streams one array of Result objects,
-// csv streams one blank-line-separated block per experiment.
-//
-// Deprecated: use Lab.RunAll.
-func RunAllFormat(ids []string, cfg Config, format Format, w io.Writer) error {
-	return NewLab(WithConfig(cfg)).RunAll(context.Background(), ids, format, w)
-}
-
-// RunScenario validates, compiles and runs a declarative scenario.
-//
-// Deprecated: use Lab.Run, which adds cancellation and typed errors.
-func RunScenario(sp ScenarioSpec) (*ScenarioReport, error) {
-	return NewLab().Run(context.Background(), sp)
-}
-
-// FuzzScenarios generates N seeded random scenarios and runs each twice:
-// once under the full invariant suite and once more to verify the run is
-// byte-identical.
-//
-// Deprecated: use Lab.Fuzz, which adds cancellation, progress events and
-// typed errors.
-func FuzzScenarios(opts FuzzOptions) (*FuzzReport, error) {
-	return NewLab().Fuzz(context.Background(), opts)
-}
-
-// RunConformance cross-checks the packet-level simulator against the
-// paper's fluid model and fixed points.
-//
-// Deprecated: use Lab.Conform, which adds cancellation, progress events
-// and typed errors.
-func RunConformance(opts ConformanceOptions) (*ConformanceReport, error) {
-	return NewLab().Conform(context.Background(), opts)
-}
-
-// Simulate runs a multipath user against background TCP flows over custom
-// bottleneck paths and reports the goodput split.
-//
-// Deprecated: use Lab.Simulate, which adds cancellation and typed errors.
-func Simulate(sc Scenario) (Report, error) {
-	return NewLab().Simulate(context.Background(), sc)
-}
-
-// TwoPathAnalysis is the analytic counterpart of a two-path Simulate: given
-// loss probabilities and RTTs it evaluates the paper's fixed points.
+// TwoPathAnalysis is the analytic counterpart of a two-path Lab.Simulate:
+// given loss probabilities and RTTs, Lab.Analyze evaluates the paper's
+// fixed points.
 type TwoPathAnalysis struct {
 	// TCPBestMbps is √(2/p)/rtt on the better path (goal 1's reference).
 	TCPBestMbps float64
@@ -330,12 +246,4 @@ type TwoPathAnalysis struct {
 	LIAMbps []float64
 	// OLIAMbps are OLIA's Theorem-1 equilibrium rates.
 	OLIAMbps []float64
-}
-
-// AnalyzeTwoPath evaluates the loss-throughput fixed points for a user with
-// the given per-path loss probabilities and RTTs (seconds). MSS is 1500 B.
-//
-// Deprecated: use Lab.Analyze, which adds typed errors.
-func AnalyzeTwoPath(loss, rtts []float64) (TwoPathAnalysis, error) {
-	return NewLab().Analyze(loss, rtts)
 }

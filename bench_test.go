@@ -9,6 +9,7 @@
 package mptcpsim
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -33,14 +34,18 @@ var printedOnce sync.Map
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
-	cfg := benchConfig()
+	ctx, lab := context.Background(), NewLab(WithConfig(benchConfig()))
 	for i := 0; i < b.N; i++ {
 		var w io.Writer = io.Discard
 		if _, dup := printedOnce.LoadOrStore(id, true); !dup {
 			fmt.Printf("\n===== %s =====\n", id)
 			w = os.Stdout
 		}
-		if err := RunExperiment(id, cfg, w); err != nil {
+		r, err := lab.Collect(ctx, id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := RenderResult(r, FormatText, w); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,9 +130,9 @@ func registryBenchConfig(workers int) Config {
 func benchRegistry(b *testing.B, workers int) {
 	b.Helper()
 	b.ReportAllocs()
-	cfg := registryBenchConfig(workers)
+	ctx, lab := context.Background(), NewLab(WithConfig(registryBenchConfig(workers)))
 	for i := 0; i < b.N; i++ {
-		if err := RunAll(registryBenchIDs, cfg, io.Discard); err != nil {
+		if err := lab.RunAll(ctx, registryBenchIDs, FormatText, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,14 +146,14 @@ func BenchmarkRegistryParallelMax(b *testing.B) { benchRegistry(b, 0) }
 // --- Library micro-benchmarks ---
 
 // BenchmarkSimulateTwoPath measures the end-to-end cost of the public
-// Simulate API on a 10-second two-path scenario. The seed is fixed so
+// Lab.Simulate API on a 10-second two-path scenario. The seed is fixed so
 // every iteration runs the identical trajectory: allocs/op is then exact
 // at any iteration count, which is what lets benchcheck hold it to zero
 // growth (a per-iteration seed made the mean drift with b.N).
 func BenchmarkSimulateTwoPath(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := Simulate(Scenario{
+		_, err := NewLab().Simulate(context.Background(), Scenario{
 			Algorithm:   "olia",
 			Paths:       []Path{{RateMbps: 10, BackgroundTCP: 3}, {RateMbps: 10, BackgroundTCP: 3}},
 			DurationSec: 10,
@@ -164,7 +169,7 @@ func BenchmarkSimulateTwoPath(b *testing.B) {
 func BenchmarkAnalyzeTwoPath(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeTwoPath([]float64{0.01, 0.02}, []float64{0.1, 0.15}); err != nil {
+		if _, err := NewLab().Analyze([]float64{0.01, 0.02}, []float64{0.1, 0.15}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 // Command olia-trace records the window and α evolution of a two-path
 // multipath user (the paper's Figs. 7 and 8) and emits CSV suitable for
-// plotting.
+// plotting. The rig is the Fig. 6 two-link spec (scenario.TwoLink),
+// compiled and sampled while it runs.
 //
 // Usage:
 //
@@ -14,8 +15,8 @@ import (
 	"os"
 
 	"mptcpsim/internal/core"
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/topo"
 	"mptcpsim/internal/trace"
 )
 
@@ -31,22 +32,20 @@ func main() {
 	)
 	flag.Parse()
 
-	ctrl, ok := topo.Controllers[*algo]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "olia-trace: unknown algorithm %q\n", *algo)
+	n, err := scenario.Compile(scenario.TwoLink(*capMbps, *tcp1, *tcp2, *algo, *seed, 0, *seconds))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "olia-trace: %v\n", err)
 		os.Exit(2)
 	}
-	tl := topo.BuildTwoLink(topo.TwoLinkConfig{
-		C: *capMbps, NTCP1: *tcp1, NTCP2: *tcp2, Ctrl: ctrl, Seed: *seed,
-	})
+	mp := n.Groups[len(n.Groups)-1][0].Conn // TwoLink lists the multipath user last
 	stop := sim.Seconds(*seconds)
 	probes := []trace.Probe{
-		{Name: "w1", Fn: func() float64 { return tl.MP.CwndPkts(0) }},
-		{Name: "w2", Fn: func() float64 { return tl.MP.CwndPkts(1) }},
-		{Name: "rtt1", Fn: func() float64 { return tl.MP.SRTT(0) }},
-		{Name: "rtt2", Fn: func() float64 { return tl.MP.SRTT(1) }},
+		{Name: "w1", Fn: func() float64 { return mp.CwndPkts(0) }},
+		{Name: "w2", Fn: func() float64 { return mp.CwndPkts(1) }},
+		{Name: "rtt1", Fn: func() float64 { return mp.SRTT(0) }},
+		{Name: "rtt2", Fn: func() float64 { return mp.SRTT(1) }},
 	}
-	if o, isOLIA := tl.MP.Controller().(*core.OLIA); isOLIA {
+	if o, isOLIA := mp.Controller().(*core.OLIA); isOLIA {
 		probes = append(probes,
 			trace.Probe{Name: "alpha1", Fn: func() float64 { return o.Alpha(0) }},
 			trace.Probe{Name: "alpha2", Fn: func() float64 { return o.Alpha(1) }},
@@ -54,10 +53,9 @@ func main() {
 			trace.Probe{Name: "ell2", Fn: func() float64 { return o.Ell(1) }},
 		)
 	}
-	rec := trace.NewRecorder(tl.S, sim.Seconds(*period), stop, probes...)
+	rec := trace.NewRecorder(n.Sim, sim.Seconds(*period), stop, probes...)
 	rec.Start(0)
-	tl.MP.Start(500 * sim.Millisecond)
-	tl.S.RunUntil(stop)
+	n.Sim.RunUntil(stop)
 
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()

@@ -18,9 +18,9 @@ package campaign
 import (
 	"fmt"
 
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/scenario"
-	"mptcpsim/internal/topo"
 )
 
 // FaultSpec scales the per-scenario fault timeline the sampler generates.
@@ -202,7 +202,7 @@ func (sp *Spec) Validate() error {
 		return fmt.Errorf("campaign %q: algorithms list is required", sp.Name)
 	}
 	for _, a := range sp.Algorithms {
-		if _, ok := topo.Controllers[a]; !ok {
+		if _, ok := core.Controllers[a]; !ok {
 			return fmt.Errorf("campaign %q: unknown algorithm %q", sp.Name, a)
 		}
 	}

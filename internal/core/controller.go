@@ -199,3 +199,13 @@ func (f *FullyCoupled) ReduceTo(cwndBytes float64) float64 {
 	}
 	return math.Max(cwndBytes-total/2, 0)
 }
+
+// Controllers maps the algorithm names used in the paper's figures to
+// constructors. Each call builds a fresh controller, since controllers
+// such as OLIA carry per-connection state.
+var Controllers = map[string]func() Controller{
+	"olia":         func() Controller { return NewOLIA() },
+	"lia":          func() Controller { return NewLIA() },
+	"uncoupled":    func() Controller { return NewUncoupled() },
+	"fullycoupled": func() Controller { return NewFullyCoupled() },
+}

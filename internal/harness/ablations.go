@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"mptcpsim/internal/netem"
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
-	"mptcpsim/internal/tcp"
-	"mptcpsim/internal/topo"
 	"mptcpsim/internal/trace"
 )
 
@@ -21,49 +19,49 @@ type twoLinkOutcome struct {
 	flipsCount int
 }
 
+// twoLinkSpec is the harness's Fig. 6 rig: 10 Mb/s links with ntcp1 and
+// ntcp2 background TCP flows, at the run's base seed and window. Every
+// harness variant puts background flows on both links, so the compiled
+// groups are always link 1's TCP flows, link 2's, then the multipath user.
+func twoLinkSpec(cfg Config, ntcp1, ntcp2 int, algo string) *scenario.Spec {
+	return scenario.TwoLink(10, ntcp1, ntcp2, algo, cfg.BaseSeed, cfg.Warmup.Sec(), cfg.Duration.Sec())
+}
+
+// twoLinkMP is the multipath user of a TwoLink spec, for variants to edit.
+func twoLinkMP(sp *scenario.Spec) *scenario.FlowSpec { return &sp.Flows[len(sp.Flows)-1] }
+
 // runTwoLink simulates one two-link rig configuration — the "one point →
 // typed result" unit every ablation fans out over.
-func runTwoLink(cfg Config, c topo.TwoLinkConfig) twoLinkOutcome {
-	tl := topo.BuildTwoLink(c)
+func runTwoLink(cfg Config, sp *scenario.Spec) twoLinkOutcome {
+	n := compileRig(sp)
+	tcp1, tcp2, mp := n.Groups[0], n.Groups[1], n.Groups[2][0]
 	stop := cfg.Warmup + cfg.Duration
-	rec := trace.NewRecorder(tl.S, 250*sim.Millisecond, stop,
-		trace.Probe{Name: "w1", Fn: func() float64 { return tl.MP.CwndPkts(0) }},
-		trace.Probe{Name: "w2", Fn: func() float64 { return tl.MP.CwndPkts(1) }},
+	rec := trace.NewRecorder(n.Sim, 250*sim.Millisecond, stop,
+		trace.Probe{Name: "w1", Fn: func() float64 { return mp.Conn.CwndPkts(0) }},
+		trace.Probe{Name: "w2", Fn: func() float64 { return mp.Conn.CwndPkts(1) }},
 	)
 	rec.Start(0)
-	tl.MP.Start(500 * sim.Millisecond)
-	tl.S.RunUntil(cfg.Warmup)
-	subBase := []int64{
-		tl.MP.Subflows()[0].Sink.GoodputBytes(),
-		tl.MP.Subflows()[1].Sink.GoodputBytes(),
-	}
-	var bgBase [2]int64
-	for _, u := range tl.TCP1 {
-		bgBase[0] += u.Goodput()
-	}
-	for _, u := range tl.TCP2 {
-		bgBase[1] += u.Goodput()
-	}
-	tl.S.RunUntil(stop)
+	n.Sim.RunUntil(cfg.Warmup)
+	subBase := []int64{mp.PathGoodputBytes(0), mp.PathGoodputBytes(1)}
+	bgBase := [2]int64{sumGoodput(tcp1), sumGoodput(tcp2)}
+	n.Sim.RunUntil(stop)
 	secs := cfg.Duration.Sec()
 	var out twoLinkOutcome
-	out.mp1 = stats.Mbps(tl.MP.Subflows()[0].Sink.GoodputBytes()-subBase[0], secs)
-	out.mp2 = stats.Mbps(tl.MP.Subflows()[1].Sink.GoodputBytes()-subBase[1], secs)
-	var bg1, bg2 int64
-	for _, u := range tl.TCP1 {
-		bg1 += u.Goodput()
-	}
-	for _, u := range tl.TCP2 {
-		bg2 += u.Goodput()
-	}
-	if n := len(tl.TCP1); n > 0 {
-		out.bg1 = stats.Mbps(bg1-bgBase[0], secs) / float64(n)
-	}
-	if n := len(tl.TCP2); n > 0 {
-		out.bg2 = stats.Mbps(bg2-bgBase[1], secs) / float64(n)
-	}
+	out.mp1 = stats.Mbps(mp.PathGoodputBytes(0)-subBase[0], secs)
+	out.mp2 = stats.Mbps(mp.PathGoodputBytes(1)-subBase[1], secs)
+	out.bg1 = stats.Mbps(sumGoodput(tcp1)-bgBase[0], secs) / float64(len(tcp1))
+	out.bg2 = stats.Mbps(sumGoodput(tcp2)-bgBase[1], secs) / float64(len(tcp2))
 	out.flipsCount = flips(rec.Series(0), rec.Series(1))
 	return out
+}
+
+// sumGoodput totals the bytes a set of flows has delivered so far.
+func sumGoodput(flows []*scenario.Flow) int64 {
+	var total int64
+	for _, f := range flows {
+		total += f.GoodputBytes()
+	}
+	return total
 }
 
 // ablationEpsilon sweeps the ε-family of §II on the symmetric two-link rig:
@@ -72,10 +70,7 @@ func runTwoLink(cfg Config, c topo.TwoLinkConfig) twoLinkOutcome {
 func ablationEpsilon(cfg Config) (*Result, error) {
 	algos := []string{"fullycoupled", "lia", "olia", "uncoupled"}
 	outs := perPoint(cfg, algos, func(algo string) twoLinkOutcome {
-		return runTwoLink(cfg, topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 5,
-			Ctrl: topo.Controllers[algo], Seed: cfg.BaseSeed,
-		})
+		return runTwoLink(cfg, twoLinkSpec(cfg, 5, 5, algo))
 	})
 	r := &Result{
 		Preamble: []string{"Symmetric two-link rig (Fig. 6a): 10 Mb/s links, 5 TCP flows each; fair share 1.67 Mb/s"},
@@ -119,20 +114,21 @@ func textAblationEpsilon(r *Result, w io.Writer) error {
 // studies drop-tail in htsim).
 func ablationQueue(cfg Config) (*Result, error) {
 	type point struct {
-		kind netem.QueueKind
-		algo string
+		queue scenario.QueueKind
+		algo  string
 	}
 	var pts []point
-	for _, kind := range []netem.QueueKind{netem.QueueRED, netem.QueueDropTail} {
+	for _, queue := range []scenario.QueueKind{scenario.QueueRED, scenario.QueueDropTail} {
 		for _, algo := range []string{"lia", "olia"} {
-			pts = append(pts, point{kind, algo})
+			pts = append(pts, point{queue, algo})
 		}
 	}
 	outs := perPoint(cfg, pts, func(p point) twoLinkOutcome {
-		return runTwoLink(cfg, topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 10, Kind: p.kind,
-			Ctrl: topo.Controllers[p.algo], Seed: cfg.BaseSeed,
-		})
+		sp := twoLinkSpec(cfg, 5, 10, p.algo)
+		for i := range sp.Links {
+			sp.Links[i].Queue = p.queue
+		}
+		return runTwoLink(cfg, sp)
 	})
 	r := &Result{
 		Preamble: []string{"Asymmetric rig (Fig. 6b): link2 shared with 10 TCP flows; congested-path traffic by discipline"},
@@ -145,7 +141,7 @@ func ablationQueue(cfg Config) (*Result, error) {
 	}
 	for i, p := range pts {
 		kindName := "RED"
-		if p.kind == netem.QueueDropTail {
+		if p.queue == scenario.QueueDropTail {
 			kindName = "DropTail"
 		}
 		o := outs[i]
@@ -180,11 +176,9 @@ func textAblationQueue(r *Result, w io.Writer) error {
 func ablationSsthresh(cfg Config) (*Result, error) {
 	variants := []bool{false, true}
 	outs := perPoint(cfg, variants, func(keepSS bool) twoLinkOutcome {
-		return runTwoLink(cfg, topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 10,
-			Ctrl: topo.Controllers["olia"], Seed: cfg.BaseSeed,
-			KeepSlowStart: keepSS,
-		})
+		sp := twoLinkSpec(cfg, 5, 10, "olia")
+		twoLinkMP(sp).KeepSlowStart = keepSS
+		return runTwoLink(cfg, sp)
 	})
 	r := &Result{
 		Preamble: []string{"Asymmetric rig: effect of the §IV-B subflow ssthresh=1 setting"},
@@ -226,11 +220,9 @@ func textAblationSsthresh(r *Result, w io.Writer) error {
 func ablationCap(cfg Config) (*Result, error) {
 	variants := []bool{false, true}
 	outs := perPoint(cfg, variants, func(noCap bool) twoLinkOutcome {
-		return runTwoLink(cfg, topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 5,
-			Ctrl: topo.Controllers["olia"], Seed: cfg.BaseSeed,
-			SubflowCfg: tcp.Config{NoIncreaseCap: noCap},
-		})
+		sp := twoLinkSpec(cfg, 5, 5, "olia")
+		twoLinkMP(sp).NoIncreaseCap = noCap
+		return runTwoLink(cfg, sp)
 	})
 	r := &Result{
 		Preamble: []string{"Symmetric rig: effect of the per-ACK increase cap (RFC 6356 goal 2)"},

@@ -3,13 +3,15 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/tcp"
-	"mptcpsim/internal/topo"
 )
 
 // probeMetrics is one §VII bad-path-suspension run: normalized rates plus
@@ -22,32 +24,25 @@ type probeMetrics struct {
 // runProbeSuspension executes one Scenario-C-like run with or without
 // bad-path suspension enabled on the multipath users.
 func runProbeSuspension(cfg Config, enable bool, seed int64) probeMetrics {
-	c := topo.BuildScenarioC(topo.ScenarioCConfig{
-		N1: 20, N2: 10, C1: 2.0, C2: 1.0,
-		Ctrl: topo.Controllers["olia"], Seed: seed,
-	})
+	n := compileRig(scenario.PaperScenarioC(
+		20, 10, 2.0, 1.0, "olia", seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
+	multi, single := n.Groups[0], n.Groups[1]
 	if enable {
-		for _, conn := range c.Multi {
-			conn.EnableProbeControl(mptcp.ProbeControl{})
+		for _, f := range multi {
+			f.Conn.EnableProbeControl(mptcp.ProbeControl{})
 		}
 	}
-	c.S.RunUntil(cfg.Warmup)
-	var mBase, sBase []int64
-	for _, u := range c.Multi {
-		mBase = append(mBase, u.GoodputBytes())
-	}
-	for _, u := range c.Single {
-		sBase = append(sBase, u.Goodput())
-	}
-	c.S.RunUntil(cfg.Warmup + cfg.Duration)
+	n.Sim.RunUntil(cfg.Warmup)
+	mBase, sBase := goodputs(multi), goodputs(single)
+	n.Sim.RunUntil(cfg.Warmup + cfg.Duration)
 	secs := cfg.Duration.Sec()
 	var m probeMetrics
-	for i, u := range c.Multi {
-		m.multi += stats.Mbps(u.GoodputBytes()-mBase[i], secs) / 2.0 / 20
-		m.suspends += u.SuspendCount(0) + u.SuspendCount(1)
+	for i, f := range multi {
+		m.multi += stats.Mbps(f.GoodputBytes()-mBase[i], secs) / 2.0 / 20
+		m.suspends += f.Conn.SuspendCount(0) + f.Conn.SuspendCount(1)
 	}
-	for i, u := range c.Single {
-		m.single += stats.Mbps(u.Goodput()-sBase[i], secs) / 1.0 / 10
+	for i, f := range single {
+		m.single += stats.Mbps(f.GoodputBytes()-sBase[i], secs) / 1.0 / 10
 	}
 	return m
 }
@@ -114,12 +109,9 @@ func textExtProbe(r *Result, w io.Writer) error {
 func extRwnd(cfg Config) (*Result, error) {
 	rwnds := []float64{0, 16, 8, 4}
 	outs := perPoint(cfg, rwnds, func(rwnd float64) twoLinkOutcome {
-		c := topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 5,
-			Ctrl: topo.Controllers["olia"], Seed: cfg.BaseSeed,
-		}
-		c.SubflowCfg.MaxCwndPkts = rwnd
-		return runTwoLink(cfg, c)
+		sp := twoLinkSpec(cfg, 5, 5, "olia")
+		twoLinkMP(sp).MaxCwndPkts = rwnd
+		return runTwoLink(cfg, sp)
 	})
 	r := &Result{
 		Preamble: []string{"Two-link rig, OLIA: effect of a receive-window cap on the aggregate"},
@@ -163,15 +155,14 @@ type streamOutcome struct {
 // runSerialTransfers measures `transfers` back-to-back finite transfers of
 // the given size over the two-link rig under one transport mode.
 func runSerialTransfers(cfg Config, mode string, size int64, transfers int) streamOutcome {
-	tl := topo.BuildTwoLink(topo.TwoLinkConfig{
-		C: 10, NTCP1: 2, NTCP2: 2,
-		Ctrl: topo.Controllers["olia"], Seed: cfg.BaseSeed,
-	})
-	// The rig's own multipath user stays idle; transfers get their own
+	// The rig's own multipath user is left out; transfers get their own
 	// endpoints over the same queues.
+	sp := twoLinkSpec(cfg, 2, 2, "olia")
+	sp.Flows = sp.Flows[:2]
+	n := compileRig(sp)
 	out := streamOutcome{mode: mode}
-	launchSerial(tl, mode, size, transfers, &out.sum)
-	tl.S.RunUntil(600 * sim.Second)
+	launchSerial(n, mode, size, transfers, &out.sum)
+	n.Sim.RunUntil(600 * sim.Second)
 	return out
 }
 
@@ -221,10 +212,15 @@ func textExtStreams(r *Result, w io.Writer) error {
 	return nil
 }
 
-// launchSerial starts `count` back-to-back transfers, each beginning when
-// the previous completes.
-func launchSerial(tl *topo.TwoLink, mode string, size int64, count int, sum *stats.Summary) {
-	s := tl.S
+// launchSerial starts `count` back-to-back transfers over the compiled
+// two-link rig n, each beginning when the previous completes. The
+// endpoints are wired by hand: each transfer is created when the previous
+// one finishes, which a Spec's fixed flow list cannot express.
+func launchSerial(n *scenario.Net, mode string, size int64, count int, sum *stats.Summary) {
+	s := n.Sim
+	l1, l2, rev := n.Links[0], n.Links[1], n.Rev
+	// trim is a fresh access pipe with the testbed's 40 ms one-way delay.
+	trim := func() *netem.Pipe { return netem.NewPipe(s, 40*sim.Millisecond, "trim") }
 	var startNext func(i int)
 	startNext = func(i int) {
 		if i >= count {
@@ -238,24 +234,24 @@ func launchSerial(tl *topo.TwoLink, mode string, size int64, count int, sum *sta
 		if mode == "tcp" {
 			src := tcp.NewSrc(s, 5000+i, "xfer", tcp.Config{FlowBytes: size})
 			sink := tcp.NewSink(s)
-			src.SetRoute(netem.NewRoute(topo.NewTrimPipe(s), tl.L1.Q, tl.L1.P).Append(sink))
-			sink.SetRoute(netem.NewRoute(tl.Rev.Q, tl.Rev.P).Append(src))
+			src.SetRoute(netem.NewRoute(trim(), l1.Queue, l1.Pipe).Append(sink))
+			sink.SetRoute(netem.NewRoute(rev.Q, rev.P).Append(src))
 			src.OnComplete = func(*tcp.Src) { done() }
 			src.Start(s.Now())
 			return
 		}
-		conn := mptcp.New(s, fmt.Sprintf("xfer%d", i), topo.Controllers["olia"](), tcp.Config{})
+		conn := mptcp.New(s, fmt.Sprintf("xfer%d", i), core.Controllers["olia"](), tcp.Config{})
 		// Finite transfers need slow start: the §IV-B ssthresh=1 setting
 		// (meant for long-lived flows probing congested paths) would make a
 		// 512 KB stream crawl from a 1-packet window in congestion
 		// avoidance — ~3x slower than plain TCP. This is why the paper's
 		// own short-flow workload uses regular TCP.
 		conn.SetKeepSlowStart(true)
-		for j, l := range []*netem.Link{tl.L1, tl.L2} {
+		for j, l := range []*scenario.CompiledLink{l1, l2} {
 			sf := conn.AddSubflow(6000 + 2*i + j)
 			sf.SetRoutes(
-				netem.NewRoute(topo.NewTrimPipe(s), l.Q, l.P).Append(sf.Sink),
-				netem.NewRoute(tl.Rev.Q, tl.Rev.P).Append(sf.Src),
+				netem.NewRoute(trim(), l.Queue, l.Pipe).Append(sf.Sink),
+				netem.NewRoute(rev.Q, rev.P).Append(sf.Src),
 			)
 		}
 		st := mptcp.NewStream(conn, size, 0)
@@ -310,11 +306,9 @@ func init() {
 func extRTT(cfg Config) (*Result, error) {
 	algos := []string{"olia", "lia", "uncoupled"}
 	outs := perPoint(cfg, algos, func(algo string) twoLinkOutcome {
-		return runTwoLink(cfg, topo.TwoLinkConfig{
-			C: 10, NTCP1: 5, NTCP2: 5,
-			OWD2: 120 * sim.Millisecond, // RTT 240+q vs 80+q ms
-			Ctrl: topo.Controllers[algo], Seed: cfg.BaseSeed,
-		})
+		sp := twoLinkSpec(cfg, 5, 5, algo)
+		sp.Paths[1].DelayMs = 120 // RTT 240+q vs 80+q ms
+		return runTwoLink(cfg, sp)
 	})
 	r := &Result{
 		Preamble: []string{"Two links, equal capacity and background (5 TCP each); path 2 RTT 3x path 1"},
@@ -362,37 +356,22 @@ type delackOutcome struct {
 
 // runDelack measures the symmetric rig with per-segment or delayed ACKs.
 func runDelack(cfg Config, delayed bool) delackOutcome {
-	tl := topo.BuildTwoLink(topo.TwoLinkConfig{
-		C: 10, NTCP1: 5, NTCP2: 5,
-		Ctrl: topo.Controllers["olia"], Seed: cfg.BaseSeed,
-	})
+	n := compileRig(twoLinkSpec(cfg, 5, 5, "olia"))
+	bg, mp := slices.Concat(n.Groups[0], n.Groups[1]), n.Groups[2][0]
 	if delayed {
-		for _, sf := range tl.MP.Subflows() {
-			sf.Sink.SetDelayedAck(40 * sim.Millisecond)
-		}
-		for _, u := range tl.TCP1 {
-			u.Sink.SetDelayedAck(40 * sim.Millisecond)
-		}
-		for _, u := range tl.TCP2 {
-			u.Sink.SetDelayedAck(40 * sim.Millisecond)
+		for _, f := range n.Flows {
+			for _, k := range f.Sinks {
+				k.SetDelayedAck(40 * sim.Millisecond)
+			}
 		}
 	}
-	tl.MP.Start(500 * sim.Millisecond)
-	tl.S.RunUntil(cfg.Warmup)
-	mpBase := tl.MP.GoodputBytes()
-	var bgBase int64
-	for _, u := range append(tl.TCP1, tl.TCP2...) {
-		bgBase += u.Goodput()
-	}
-	tl.S.RunUntil(cfg.Warmup + cfg.Duration)
+	n.Sim.RunUntil(cfg.Warmup)
+	mpBase, bgBase := mp.GoodputBytes(), sumGoodput(bg)
+	n.Sim.RunUntil(cfg.Warmup + cfg.Duration)
 	secs := cfg.Duration.Sec()
-	var bg int64
-	for _, u := range append(tl.TCP1, tl.TCP2...) {
-		bg += u.Goodput()
-	}
 	return delackOutcome{
-		mpMbps:     stats.Mbps(tl.MP.GoodputBytes()-mpBase, secs),
-		bgMeanMbps: stats.Mbps(bg-bgBase, secs) / float64(len(tl.TCP1)+len(tl.TCP2)),
+		mpMbps:     stats.Mbps(mp.GoodputBytes()-mpBase, secs),
+		bgMeanMbps: stats.Mbps(sumGoodput(bg)-bgBase, secs) / float64(len(bg)),
 	}
 }
 

@@ -9,10 +9,7 @@ import (
 	"reflect"
 	"testing"
 
-	"mptcpsim/internal/netem"
-	"mptcpsim/internal/sim"
-	"mptcpsim/internal/tcp"
-	"mptcpsim/internal/topo"
+	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/trace"
 )
 
@@ -38,7 +35,7 @@ type twoLinkVariant struct {
 	keepSlowStart bool
 	noIncreaseCap bool
 	maxCwndPkts   float64
-	owd2          sim.Time
+	path2DelayMs  float64
 }
 
 // twoLinkVariants lists every two-link configuration the experiments run.
@@ -61,32 +58,27 @@ func twoLinkVariants() []twoLinkVariant {
 	}
 	for _, algo := range []string{"olia", "lia", "uncoupled"} {
 		out = append(out, twoLinkVariant{name: "rtt/" + algo, algo: algo, ntcp1: 5, ntcp2: 5,
-			owd2: 120 * sim.Millisecond})
+			path2DelayMs: 120})
 	}
 	return out
 }
 
 // runTwoLinkVariant runs one variant through the experiments' rig runner.
 func runTwoLinkVariant(cfg Config, v twoLinkVariant) twoLinkOutcome {
-	c := topo.TwoLinkConfig{
-		C: 10, NTCP1: v.ntcp1, NTCP2: v.ntcp2,
-		Ctrl: topo.Controllers[v.algo], Seed: cfg.BaseSeed,
-		KeepSlowStart: v.keepSlowStart,
-		SubflowCfg:    tcp.Config{NoIncreaseCap: v.noIncreaseCap, MaxCwndPkts: v.maxCwndPkts},
-		OWD2:          v.owd2,
-	}
+	sp := twoLinkSpec(cfg, v.ntcp1, v.ntcp2, v.algo)
 	if v.dropTail {
-		c.Kind = netem.QueueDropTail
+		for i := range sp.Links {
+			sp.Links[i].Queue = scenario.QueueDropTail
+		}
 	}
-	return runTwoLink(cfg, c)
-}
-
-// runScenarioBPin runs one Scenario B configuration of Tables I/II.
-func runScenarioBPin(cfg Config, algo string, redMP bool) bMetrics {
-	return runScenarioB(topo.ScenarioBConfig{
-		N: 15, CX: 27, CT: 36,
-		Ctrl: topo.Controllers[algo], RedMultipath: redMP, Seed: cfg.BaseSeed,
-	}, cfg)
+	if v.path2DelayMs != 0 {
+		sp.Paths[1].DelayMs = v.path2DelayMs
+	}
+	mp := twoLinkMP(sp)
+	mp.KeepSlowStart = v.keepSlowStart
+	mp.NoIncreaseCap = v.noIncreaseCap
+	mp.MaxCwndPkts = v.maxCwndPkts
+	return runTwoLink(cfg, sp)
 }
 
 // rigPin is one pinned run: a case name, its seed, and the raw observables.
@@ -120,7 +112,7 @@ var rigPins = map[string]func() []rigPin{
 		for _, seed := range rigSeeds {
 			for _, algo := range []string{"lia", "olia"} {
 				for _, mp := range []bool{false, true} {
-					m := runScenarioBPin(rigConfig(seed), algo, mp)
+					m := runScenarioB(rigConfig(seed), algo, mp, seed)
 					out = append(out, rigPin{Case: fmt.Sprintf("%s/red_multipath=%v", algo, mp), Seed: seed,
 						Values: map[string]float64{"blue": m.bluePerUser, "red": m.redPerUser, "agg": m.aggregate}})
 				}

@@ -8,7 +8,6 @@ import (
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/stats"
-	"mptcpsim/internal/topo"
 )
 
 // lossWindow measures a queue's loss probability over [warmup, end].
@@ -21,6 +20,25 @@ func snapLoss(q netem.Queue) *lossWindow { return &lossWindow{q: q, base: q.Stat
 
 func (lw *lossWindow) prob() float64 { return lw.q.Stats().Sub(lw.base).LossProb() }
 
+// compileRig builds one of the harness's testbed rigs. The harness passes
+// the spec builders fixed, valid parameters, so an error is a bug.
+func compileRig(sp *scenario.Spec) *scenario.Net {
+	n, err := scenario.Compile(sp)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s spec invalid: %v", sp.Name, err))
+	}
+	return n
+}
+
+// goodputs snapshots the bytes each flow has delivered so far.
+func goodputs(flows []*scenario.Flow) []int64 {
+	out := make([]int64, len(flows))
+	for i, f := range flows {
+		out[i] = f.GoodputBytes()
+	}
+	return out
+}
+
 // aMetrics are the Scenario A observables of Figs. 1, 9 and 10 from one
 // simulation run.
 type aMetrics struct {
@@ -30,26 +48,14 @@ type aMetrics struct {
 // runScenarioA executes one Scenario A simulation at sweep cell p (N1 =
 // p.n1 type1 users at C1 = p.c1 Mb/s each, N2 = 10 type2 users at C2 =
 // 1 Mb/s) and reports normalized throughputs and loss probabilities over
-// the measurement window. The rig is compiled from the shared declarative
-// spec scenario.PaperScenarioA, which wires the identical rig
-// topo.BuildScenarioA hand-builds; the golden snapshots lock the bytes.
+// the measurement window.
 func runScenarioA(cfg Config, p aPoint, seed int64) aMetrics {
 	const n2, c2 = 10, 1.0
-	n, err := scenario.Compile(scenario.PaperScenarioA(
+	n := compileRig(scenario.PaperScenarioA(
 		p.n1, n2, p.c1, c2, p.algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	if err != nil {
-		panic(fmt.Sprintf("harness: scenario A spec invalid: %v", err))
-	}
 	n.Sim.RunUntil(cfg.Warmup)
 	type1, type2 := n.Groups[0], n.Groups[1]
-	t1Base := make([]int64, len(type1))
-	t2Base := make([]int64, len(type2))
-	for i, f := range type1 {
-		t1Base[i] = f.GoodputBytes()
-	}
-	for i, f := range type2 {
-		t2Base[i] = f.GoodputBytes()
-	}
+	t1Base, t2Base := goodputs(type1), goodputs(type2)
 	l1, l2 := snapLoss(n.Links[0].Queue), snapLoss(n.Links[1].Queue)
 	n.Sim.RunUntil(cfg.Warmup + cfg.Duration)
 	secs := cfg.Duration.Sec()
@@ -189,28 +195,21 @@ type cMetrics struct {
 // p.n1 multipath users at C1 = p.c1 Mb/s beside N2 = 10 single-path users
 // at C2 = 1 Mb/s.
 func runScenarioC(cfg Config, p cPoint, seed int64) cMetrics {
-	c := topo.ScenarioCConfig{
-		N1: p.n1, N2: 10, C1: p.c1, C2: 1.0,
-		Ctrl: topo.Controllers[p.algo], Seed: seed,
-	}
-	sc := topo.BuildScenarioC(c)
-	sc.S.RunUntil(cfg.Warmup)
-	var mBase, sBase []int64
-	for _, u := range sc.Multi {
-		mBase = append(mBase, u.GoodputBytes())
-	}
-	for _, u := range sc.Single {
-		sBase = append(sBase, u.Goodput())
-	}
-	l1, l2 := snapLoss(sc.AP1Q), snapLoss(sc.AP2Q)
-	sc.S.RunUntil(cfg.Warmup + cfg.Duration)
+	const n2, c2 = 10, 1.0
+	n := compileRig(scenario.PaperScenarioC(
+		p.n1, n2, p.c1, c2, p.algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
+	n.Sim.RunUntil(cfg.Warmup)
+	multi, single := n.Groups[0], n.Groups[1]
+	mBase, sBase := goodputs(multi), goodputs(single)
+	l1, l2 := snapLoss(n.Links[0].Queue), snapLoss(n.Links[1].Queue)
+	n.Sim.RunUntil(cfg.Warmup + cfg.Duration)
 	secs := cfg.Duration.Sec()
 	var m cMetrics
-	for i, u := range sc.Multi {
-		m.multiNorm += stats.Mbps(u.GoodputBytes()-mBase[i], secs) / c.C1 / float64(c.N1)
+	for i, f := range multi {
+		m.multiNorm += stats.Mbps(f.GoodputBytes()-mBase[i], secs) / p.c1 / float64(p.n1)
 	}
-	for i, u := range sc.Single {
-		m.singleNorm += stats.Mbps(u.Goodput()-sBase[i], secs) / c.C2 / float64(c.N2)
+	for i, f := range single {
+		m.singleNorm += stats.Mbps(f.GoodputBytes()-sBase[i], secs) / c2 / float64(n2)
 	}
 	m.p1, m.p2 = l1.prob(), l2.prob()
 	return m
@@ -328,32 +327,26 @@ type bMetrics struct {
 	bluePerUser, redPerUser, aggregate float64
 }
 
-func runScenarioB(c topo.ScenarioBConfig, cfg Config) bMetrics {
-	b := topo.BuildScenarioB(c)
-	b.S.RunUntil(cfg.Warmup)
-	var blueBase, redBase []int64
-	for _, u := range b.Blue {
-		blueBase = append(blueBase, u.GoodputBytes())
-	}
-	for _, u := range b.RedMP {
-		redBase = append(redBase, u.GoodputBytes())
-	}
-	for _, u := range b.RedSP {
-		redBase = append(redBase, u.Goodput())
-	}
-	b.S.RunUntil(cfg.Warmup + cfg.Duration)
+// runScenarioB executes one Scenario B simulation of Tables I/II: N = 15
+// users of each color, CX = 27 and CT = 36 Mb/s, with the Red users on a
+// single path or upgraded to multipath.
+func runScenarioB(cfg Config, algo string, redMultipath bool, seed int64) bMetrics {
+	const n = 15
+	net := compileRig(scenario.PaperScenarioB(
+		n, 27, 36, algo, redMultipath, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
+	net.Sim.RunUntil(cfg.Warmup)
+	blue, red := net.Groups[0], net.Groups[1]
+	blueBase, redBase := goodputs(blue), goodputs(red)
+	net.Sim.RunUntil(cfg.Warmup + cfg.Duration)
 	secs := cfg.Duration.Sec()
 	var m bMetrics
-	for i, u := range b.Blue {
-		m.bluePerUser += stats.Mbps(u.GoodputBytes()-blueBase[i], secs) / float64(c.N)
+	for i, f := range blue {
+		m.bluePerUser += stats.Mbps(f.GoodputBytes()-blueBase[i], secs) / n
 	}
-	for i, u := range b.RedMP {
-		m.redPerUser += stats.Mbps(u.GoodputBytes()-redBase[i], secs) / float64(c.N)
+	for i, f := range red {
+		m.redPerUser += stats.Mbps(f.GoodputBytes()-redBase[i], secs) / n
 	}
-	for i, u := range b.RedSP {
-		m.redPerUser += stats.Mbps(u.Goodput()-redBase[i], secs) / float64(c.N)
-	}
-	m.aggregate = float64(c.N) * (m.bluePerUser + m.redPerUser)
+	m.aggregate = n * (m.bluePerUser + m.redPerUser)
 	return m
 }
 
@@ -369,10 +362,7 @@ type bResult struct {
 func collectScenarioB(cfg Config, algo string) []bResult {
 	modes := []bool{false, true}
 	per := sweep(cfg, modes, func(mp bool, seed int64) bMetrics {
-		return runScenarioB(topo.ScenarioBConfig{
-			N: 15, CX: 27, CT: 36,
-			Ctrl: topo.Controllers[algo], RedMultipath: mp, Seed: seed,
-		}, cfg)
+		return runScenarioB(cfg, algo, mp, seed)
 	})
 	out := make([]bResult, len(modes))
 	for i, mp := range modes {

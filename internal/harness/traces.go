@@ -6,7 +6,6 @@ import (
 
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/sim"
-	"mptcpsim/internal/topo"
 	"mptcpsim/internal/trace"
 )
 
@@ -23,25 +22,22 @@ type traceResult struct {
 
 // runTrace records one algorithm's window evolution on the two-link rig.
 func runTrace(cfg Config, algo string, nTCP1, nTCP2 int) traceResult {
-	tl := topo.BuildTwoLink(topo.TwoLinkConfig{
-		C: 10, NTCP1: nTCP1, NTCP2: nTCP2,
-		Ctrl: topo.Controllers[algo], Seed: cfg.BaseSeed,
-	})
+	n := compileRig(twoLinkSpec(cfg, nTCP1, nTCP2, algo))
+	mp := n.Groups[2][0].Conn
 	stop := cfg.Warmup + cfg.Duration
 	probes := []trace.Probe{
-		{Name: "w1", Fn: func() float64 { return tl.MP.CwndPkts(0) }},
-		{Name: "w2", Fn: func() float64 { return tl.MP.CwndPkts(1) }},
+		{Name: "w1", Fn: func() float64 { return mp.CwndPkts(0) }},
+		{Name: "w2", Fn: func() float64 { return mp.CwndPkts(1) }},
 	}
-	if o, ok := tl.MP.Controller().(*core.OLIA); ok {
+	if o, ok := mp.Controller().(*core.OLIA); ok {
 		probes = append(probes,
 			trace.Probe{Name: "a1", Fn: func() float64 { return o.Alpha(0) }},
 			trace.Probe{Name: "a2", Fn: func() float64 { return o.Alpha(1) }},
 		)
 	}
-	rec := trace.NewRecorder(tl.S, 250*sim.Millisecond, stop, probes...)
+	rec := trace.NewRecorder(n.Sim, 250*sim.Millisecond, stop, probes...)
 	rec.Start(0)
-	tl.MP.Start(500 * sim.Millisecond)
-	tl.S.RunUntil(stop)
+	n.Sim.RunUntil(stop)
 
 	res := traceResult{
 		algo:       algo,

@@ -22,10 +22,6 @@
 //     cancellation works. Explicitly discarding with `_ context.Context`
 //     is accepted (interface conformance).
 //
-// Functions marked `Deprecated:` are exempt from all four rules: the
-// pre-context compatibility wrappers exist precisely to run under
-// context.Background() by documented contract.
-//
 // Scope: the library service packages internal/campaign, internal/harness,
 // internal/runner, internal/scenario, internal/serve (and their
 // subpackages) plus the facade package mptcpsim. internal/serve is in
@@ -86,9 +82,6 @@ func run(pass *lint.Pass) error {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
-				continue
-			}
-			if deprecated(fd.Doc) {
 				continue
 			}
 			checkFunc(pass, fd)
@@ -275,17 +268,4 @@ func observes(pass *lint.Pass, body *ast.BlockStmt, obj types.Object) bool {
 		return !used
 	})
 	return used
-}
-
-// deprecated reports whether the doc comment marks the function Deprecated.
-func deprecated(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.Contains(c.Text, "Deprecated:") {
-			return true
-		}
-	}
-	return false
 }

@@ -3,11 +3,11 @@ package scenario
 import (
 	"fmt"
 
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/tcp"
-	"mptcpsim/internal/topo"
 )
 
 // CompiledLink is one built link with the handles the invariant checks and
@@ -92,11 +92,11 @@ type Net struct {
 	pathFlows [][]pathRef
 }
 
-// Compile validates the spec and builds its network. Element creation
-// order matches the hand-built topologies in internal/topo — links first,
-// then flows in listing order, each replica drawing its start jitter as it
-// is created — so a migrated experiment consumes the seed's random stream
-// identically and reproduces its output byte for byte.
+// Compile validates the spec and builds its network. Elements are created
+// in a fixed order — links, the shared return link, then flows in listing
+// order, each replica drawing its start jitter as it is created — so a
+// spec consumes its seed's random stream identically on every compile and
+// reproduces its output byte for byte.
 func Compile(sp *Spec) (*Net, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
 		Name:    fmt.Sprintf("%s-%d", name, replica),
 		AckTap:  &netem.Tap{},
 	}
-	cfg := tcp.Config{FlowBytes: fs.FlowBytes}
+	cfg := tcp.Config{FlowBytes: fs.FlowBytes, MaxCwndPkts: fs.MaxCwndPkts, NoIncreaseCap: fs.NoIncreaseCap}
 	if fs.Scheduler != "" {
 		// A scheduled stream owns data assignment: subflows start unbounded
 		// and the stream portions FlowBytes out in chunks.
@@ -241,7 +241,7 @@ func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
 		f.Srcs, f.Sinks = []*tcp.Src{src}, []*tcp.Sink{sink}
 		n.pathFlows[fs.Paths[0]] = append(n.pathFlows[fs.Paths[0]], pathRef{flow: f, sub: 0})
 	} else {
-		conn := mptcp.New(n.Sim, f.Name, topo.Controllers[fs.Algorithm](), cfg)
+		conn := mptcp.New(n.Sim, f.Name, core.Controllers[fs.Algorithm](), cfg)
 		conn.SetKeepSlowStart(fs.KeepSlowStart)
 		for i, pi := range fs.Paths {
 			sf := conn.AddSubflow(flowID + i)
@@ -276,9 +276,9 @@ func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
 	return f
 }
 
-// startAt computes one replica's start time, drawing the jitter offset
-// exactly as topo.jitterStart does so migrated scenarios keep the seed's
-// random stream.
+// startAt computes one replica's start time: StartSec plus, with
+// StartJitter, a uniform offset in [0, startSpread) drawn from the seed's
+// stream as the replica is built.
 func (n *Net) startAt(fs *FlowSpec) sim.Time {
 	at := sim.Seconds(fs.StartSec)
 	if fs.StartJitter {

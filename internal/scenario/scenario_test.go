@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,9 @@ func twoPathSpec() *Spec {
 		},
 	}
 }
+
+// nan and inf are the non-finite values Validate must reject.
+var nan, inf = math.NaN(), math.Inf(1)
 
 // TestSpecValidate locks every structural check with its message.
 func TestSpecValidate(t *testing.T) {
@@ -75,6 +79,32 @@ func TestSpecValidate(t *testing.T) {
 			sp.Flows[0].Scheduler = "minrtt"
 			sp.Flows[0].StopSec = 1.5
 		}, "cannot set a stop time"},
+		{"negative window cap", func(sp *Spec) { sp.Flows[0].MaxCwndPkts = -1 }, "negative window cap"},
+		// NaN passes every ordinary range check and +Inf the one-sided ones.
+		{"NaN link rate", func(sp *Spec) { sp.Links[0].RateMbps = nan }, "link 0 has a non-finite rate"},
+		{"infinite link rate", func(sp *Spec) { sp.Links[0].RateMbps = inf }, "link 0 has a non-finite rate"},
+		{"NaN link delay", func(sp *Spec) { sp.Links[1].DelayMs = nan }, "link 1 has a non-finite rate, delay"},
+		{"infinite link delay", func(sp *Spec) { sp.Links[0].DelayMs = inf }, "link 0 has a non-finite rate, delay"},
+		{"NaN loss", func(sp *Spec) { sp.Links[0].LossPct = nan }, "non-finite rate, delay or loss"},
+		{"NaN path delay", func(sp *Spec) { sp.Paths[1].DelayMs = nan }, "path 1 has a non-finite delay"},
+		{"infinite path delay", func(sp *Spec) { sp.Paths[0].DelayMs = inf }, "path 0 has a non-finite delay"},
+		{"NaN duration", func(sp *Spec) { sp.DurationSec = nan }, "non-finite run window"},
+		{"infinite duration", func(sp *Spec) { sp.DurationSec = inf }, "non-finite run window"},
+		{"NaN warmup", func(sp *Spec) { sp.WarmupSec = nan }, "non-finite run window"},
+		{"infinite reverse delay", func(sp *Spec) { sp.ReverseDelayMs = inf }, "reverse-path shape"},
+		{"NaN start", func(sp *Spec) { sp.Flows[1].StartSec = nan }, "flow 1 has a non-finite start"},
+		{"infinite start", func(sp *Spec) { sp.Flows[0].StartSec = inf }, "flow 0 has a non-finite start"},
+		{"NaN stop", func(sp *Spec) { sp.Flows[0].StopSec = nan }, "non-finite start, stop"},
+		{"infinite window cap", func(sp *Spec) { sp.Flows[0].MaxCwndPkts = inf }, "non-finite start, stop or window cap"},
+		{"NaN timeline time", func(sp *Spec) {
+			sp.Timeline = []TimelineEvent{{AtSec: nan, Path: &PathFlap{Path: 0}}}
+		}, "timeline event 0 has a non-finite time"},
+		{"infinite timeline rate", func(sp *Spec) {
+			sp.Timeline = []TimelineEvent{{AtSec: 1, Link: &LinkSetpoint{Link: 0, RateMbps: inf}}}
+		}, "timeline event 0 has a non-finite time or setpoint"},
+		{"NaN timeline loss", func(sp *Spec) {
+			sp.Timeline = []TimelineEvent{{AtSec: 1, Link: &LinkSetpoint{Link: 0, LossPct: Float(nan)}}}
+		}, "non-finite time or setpoint"},
 		{"valid scheduler", func(sp *Spec) {
 			sp.Flows[0].FlowBytes = 1 << 20
 			sp.Flows[0].Scheduler = "ecf"

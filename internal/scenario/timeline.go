@@ -69,6 +69,9 @@ func RateTrace(link int, startSec, stepSec float64, rates ...float64) []Timeline
 // validateTimeline checks the mutation timeline (part of Spec.Validate).
 func (sp *Spec) validateTimeline() error {
 	for i, ev := range sp.Timeline {
+		if !finite(ev.AtSec) || (ev.Link != nil && !finite(ev.Link.RateMbps, deref(ev.Link.DelayMs), deref(ev.Link.LossPct))) {
+			return fmt.Errorf("scenario %q: timeline event %d has a non-finite time or setpoint", sp.Name, i)
+		}
 		if ev.AtSec < 0 {
 			return fmt.Errorf("scenario %q: timeline event %d has negative time %g", sp.Name, i, ev.AtSec)
 		}
@@ -103,6 +106,14 @@ func (sp *Spec) validateTimeline() error {
 		}
 	}
 	return nil
+}
+
+// deref reads an optional setpoint field, 0 when unset.
+func deref(v *float64) float64 {
+	if v == nil {
+		return 0
+	}
+	return *v
 }
 
 // timelineTouchesLoss reports whether any setpoint retargets link l's loss,

@@ -1,3 +1,8 @@
+// Package topo builds the k-ary FatTree data-center fabric of §VI-B
+// (Figs. 13-14) that htsim simulates, including the 4:1 oversubscribed
+// variant. The paper's testbed rigs (Scenarios A, B and C, and the Fig. 6
+// two-link rig) are scenario.Spec builders; the FatTree stays hand-wired
+// because a Spec has no per-path reverse routes.
 package topo
 
 import (

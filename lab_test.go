@@ -3,11 +3,8 @@ package mptcpsim
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"reflect"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -216,134 +213,6 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := lab.Analyze([]float64{0.1}, []float64{0.1, 0.2}); !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("Analyze bad input: %v", err)
 	}
-}
-
-// TestDeprecatedWrappersByteIdentical proves every deprecated free
-// function produces byte-identical output to its Lab equivalent.
-func TestDeprecatedWrappersByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short")
-	}
-	ctx := context.Background()
-	cfg := quickCfg()
-	cfg.Seeds = 1
-	lab := NewLab(WithConfig(cfg))
-	ids := []string{"fig1b", "fig17"}
-
-	t.Run("RunAllFormat", func(t *testing.T) {
-		var a, b bytes.Buffer
-		if err := RunAllFormat(ids, cfg, FormatJSON, &a); err != nil {
-			t.Fatal(err)
-		}
-		if err := lab.RunAll(ctx, ids, FormatJSON, &b); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Fatal("RunAllFormat output differs from Lab.RunAll")
-		}
-	})
-	t.Run("RunAll", func(t *testing.T) {
-		var a, b bytes.Buffer
-		if err := RunAll(ids, cfg, &a); err != nil {
-			t.Fatal(err)
-		}
-		if err := lab.RunAll(ctx, ids, FormatText, &b); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Fatal("RunAll output differs from Lab.RunAll")
-		}
-	})
-	t.Run("CollectExperiment", func(t *testing.T) {
-		ra, err := CollectExperiment("fig1b", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := lab.Collect(ctx, "fig1b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ja, _ := json.Marshal(ra)
-		jb, _ := json.Marshal(rb)
-		if !bytes.Equal(ja, jb) {
-			t.Fatal("CollectExperiment result differs from Lab.Collect")
-		}
-	})
-	t.Run("RunExperiment", func(t *testing.T) {
-		var a, b strings.Builder
-		if err := RunExperiment("fig17", cfg, &a); err != nil {
-			t.Fatal(err)
-		}
-		r, err := lab.Collect(ctx, "fig17")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := RenderResult(r, FormatText, &b); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Fatal("RunExperiment output differs from Lab.Collect + RenderResult")
-		}
-	})
-	t.Run("Simulate", func(t *testing.T) {
-		sc := Scenario{
-			Algorithm:   "olia",
-			Paths:       []Path{{RateMbps: 10, BackgroundTCP: 3}, {RateMbps: 10, BackgroundTCP: 6}},
-			DurationSec: 5, Seed: 2,
-		}
-		ra, err := Simulate(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := lab.Simulate(ctx, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ra, rb) {
-			t.Fatalf("Simulate differs from Lab.Simulate:\n%+v\n%+v", ra, rb)
-		}
-	})
-	t.Run("RunScenario", func(t *testing.T) {
-		ra, err := RunScenario(validSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := lab.Run(ctx, validSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ra.Digest() != rb.Digest() {
-			t.Fatal("RunScenario digest differs from Lab.Run")
-		}
-	})
-	t.Run("FuzzScenarios", func(t *testing.T) {
-		ra, err := FuzzScenarios(FuzzOptions{N: 4, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := lab.Fuzz(ctx, FuzzOptions{N: 4, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ja, _ := json.Marshal(ra)
-		jb, _ := json.Marshal(rb)
-		if !bytes.Equal(ja, jb) {
-			t.Fatal("FuzzScenarios report differs from Lab.Fuzz")
-		}
-	})
-	t.Run("AnalyzeTwoPath", func(t *testing.T) {
-		ra, err := AnalyzeTwoPath([]float64{0.01, 0.04}, []float64{0.1, 0.1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := lab.Analyze([]float64{0.01, 0.04}, []float64{0.1, 0.1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ra, rb) {
-			t.Fatal("AnalyzeTwoPath differs from Lab.Analyze")
-		}
-	})
 }
 
 // TestLabProgressEvents pins the progress stream's shape for a collection:

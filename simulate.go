@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 
+	"mptcpsim/internal/core"
 	"mptcpsim/internal/harness"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
-	"mptcpsim/internal/topo"
 )
 
 // Path describes one bottleneck path available to the multipath user in
@@ -65,7 +65,7 @@ type Report struct {
 func (r Report) Result() *Result {
 	res := &Result{
 		ID:    "simulate",
-		Title: "Custom multipath-vs-TCP microbenchmark (mptcpsim.Simulate)",
+		Title: "Custom multipath-vs-TCP microbenchmark (Lab.Simulate)",
 		Columns: []Column{
 			{Name: "path"},
 			{Name: "multipath", Unit: "Mb/s"}, {Name: "background", Unit: "Mb/s"},
@@ -149,7 +149,7 @@ func (l *Lab) Simulate(ctx context.Context, sc Scenario) (Report, error) {
 	if algo == "" {
 		algo = "olia"
 	}
-	if _, ok := topo.Controllers[algo]; !ok {
+	if _, ok := core.Controllers[algo]; !ok {
 		return badSpec("unknown algorithm %q (have %v)", algo, Algorithms())
 	}
 	for i, p := range sc.Paths {

@@ -1,6 +1,7 @@
 package mptcpsim
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -17,7 +18,7 @@ import (
 // byte-identical to the rig it replaced. Do not regenerate them unless the
 // simulation model itself changes deliberately.
 var updateSimulateGolden = flag.Bool("update-simulate-golden", false,
-	"rewrite testdata/simulate goldens from the current Simulate implementation")
+	"rewrite testdata/simulate goldens from the current Lab.Simulate implementation")
 
 // simulateGoldenCases covers the builder rig's whole surface: RED and
 // drop-tail queues, one to three paths, background loads from zero up, and
@@ -51,7 +52,7 @@ func TestSimulateGolden(t *testing.T) {
 	}
 	for i, sc := range simulateGoldenCases() {
 		t.Run(fmt.Sprintf("case%02d", i), func(t *testing.T) {
-			rep, err := Simulate(sc)
+			rep, err := NewLab().Simulate(context.Background(), sc)
 			if err != nil {
 				t.Fatal(err)
 			}
