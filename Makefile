@@ -80,9 +80,10 @@ conform:
 conform-smoke:
 	$(GO) run ./cmd/mptcpsim conform -smoke
 
-# Kernel micro-benchmarks (event queue, pipe transit, queue service) with
+# Kernel micro-benchmarks (event queue, pipe transit, queue service idle and
+# under a standing backlog) with
 # allocation stats, recorded machine-readably in BENCH_kernel.json.
-KERNEL_BENCH = ^Benchmark(EventChurn|PipeTransit|DropTailService|REDService|SimulateTwoPath)$$
+KERNEL_BENCH = ^Benchmark(EventChurn|PipeTransit|DropTailService|DropTailBacklog|REDService|SimulateTwoPath)$$
 
 bench:
 	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem . | tee bench_kernel.txt

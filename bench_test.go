@@ -242,6 +242,34 @@ func BenchmarkDropTailService(b *testing.B) {
 	benchTransit(b, s, netem.NewDropTail(s, 100e6, 100, "q"), netem.MSS)
 }
 
+// BenchmarkDropTailBacklog measures one departure from a drop-tail queue
+// holding a standing 100-packet backlog: each delivery admits a replacement
+// at the tail. BenchmarkDropTailService serves one packet at a time, so it
+// cannot see a cost that grows with the backlog.
+func BenchmarkDropTailBacklog(b *testing.B) {
+	const backlog = 100
+	b.ReportAllocs()
+	s := sim.New(1)
+	pool := netem.PoolFor(s)
+	var route *netem.Route
+	sent := int64(0)
+	send := func() {
+		pool.NewData(0, sent*netem.MSS, netem.MSS, s.Now(), route).SendOn()
+		sent++
+	}
+	c := &netem.Collector{OnRecv: func(*netem.Packet) { send() }}
+	route = netem.NewRoute(netem.NewDropTail(s, 100e6, 2*backlog, "q"), c)
+	for range backlog {
+		send()
+	}
+	b.ResetTimer()
+	s.RunUntil(sim.Time(b.N) * sim.TxTime(netem.MSS, 100e6))
+	b.StopTimer()
+	if c.Count != int64(b.N) {
+		b.Fatalf("served %d packets, want %d", c.Count, b.N)
+	}
+}
+
 // BenchmarkREDService is the same service path through a RED queue (EWMA
 // update and admission test included).
 func BenchmarkREDService(b *testing.B) {

@@ -152,3 +152,35 @@ func TestFlipsMetric(t *testing.T) {
 		t.Fatalf("flips %d, want 0", got)
 	}
 }
+
+// TestSerialTransfersStopAtLastCompletion: a serial-transfer run dispatches
+// no event after its last transfer completes, in both transport modes. The
+// background TCP flows would otherwise keep it simulating to the 600 s cap,
+// although nothing after the last completion reaches the results.
+func TestSerialTransfersStopAtLastCompletion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiments skipped in -short")
+	}
+	const transfers = 20
+	for _, mode := range []string{"tcp", "mptcp-olia stream"} {
+		n := serialRig(goldenConfig())
+		done := 0
+		var atLast uint64
+		launchSerial(n, mode, 512*1024, transfers, func(sim.Time) {
+			if done++; done == transfers {
+				atLast = n.Sim.Processed()
+			}
+		})
+		n.Sim.RunUntil(600 * sim.Second)
+		if done != transfers {
+			t.Fatalf("%s: %d of %d transfers completed", mode, done, transfers)
+		}
+		if got := n.Sim.Processed(); got != atLast {
+			t.Errorf("%s: %d events dispatched after the last completion", mode, got-atLast)
+		}
+		if n.Sim.Now() >= 600*sim.Second || n.Sim.Pending() == 0 {
+			t.Errorf("%s: run reached %v with %d events pending; want it stopped mid-run",
+				mode, n.Sim.Now(), n.Sim.Pending())
+		}
+	}
+}

@@ -132,16 +132,17 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 }
 
 // calleeFunc resolves a call expression to the called function object, if
-// it names one statically.
+// it names one statically. A call through an instantiation of a generic
+// function or method resolves to its generic declaration.
 func calleeFunc(pass *lint.Pass, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := pass.Info.Uses[fun].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := pass.Info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ type comp struct {
 	s    *sim.Sim
 	buf  []int
 	next sim.Time
+	fifo box[int]
 }
 
 func (c *comp) RunEvent(now sim.Time) {
@@ -19,6 +20,17 @@ func (c *comp) RunEvent(now sim.Time) {
 	c.helperOK(now)
 	c.helperSuppressed()
 	c.failure(now)
+	c.fifo.put(2)
+}
+
+// box is a generic container: calls through an instantiation reach the
+// generic declaration, so its methods are hot transitively too.
+type box[T any] struct{ items []T }
+
+func (b *box[T]) put(v T) {
+	var xs []T
+	xs = append(xs, v) // want `append to xs grows an unpreallocated local slice`
+	b.items = append(b.items, xs...)
 }
 
 // helperAppend is hot transitively (called from RunEvent).

@@ -491,22 +491,18 @@ func (s *Sim) step() bool {
 	return true
 }
 
-// RunUntil executes events in order until virtual time exceeds end, the
-// queue drains, or Stop is called. The clock is left at min(end, last event
-// time); if the queue drained earlier the clock advances to end so that
-// measurement windows stay well-defined.
+// RunUntil executes events in order until the next one lies past end, the
+// queue drains, or Stop is called. Unless stopped, the clock then advances
+// to end (it never moves back), so measurement windows stay well-defined.
+// A stopped run leaves the clock at the last dispatched event: events still
+// pending must be able to run at their own times when a later RunUntil or
+// Run resumes.
 func (s *Sim) RunUntil(end Time) {
 	s.stopped = false
-	for !s.stopped {
-		if len(s.heap) == 0 {
-			break
-		}
-		if s.heap[0].at > end {
-			break
-		}
+	for !s.stopped && len(s.heap) > 0 && s.heap[0].at <= end {
 		s.step()
 	}
-	if s.now < end {
+	if !s.stopped && s.now < end {
 		s.now = end
 	}
 }

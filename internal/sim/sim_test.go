@@ -223,6 +223,27 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestRunUntilStopKeepsClock: a RunUntil ended by Stop leaves the clock at
+// the stopping event, not at the horizon, so the events it left pending
+// run at their own times when the run resumes.
+func TestRunUntilStopKeepsClock(t *testing.T) {
+	s := New(1)
+	var ran []Time
+	s.At(Second, func() { ran = append(ran, s.Now()); s.Stop() })
+	s.At(2*Second, func() { ran = append(ran, s.Now()) })
+	s.RunUntil(10 * Second)
+	if s.Now() != Second || s.Pending() != 1 {
+		t.Fatalf("after Stop: clock %v pending %d, want 1s and 1", s.Now(), s.Pending())
+	}
+	s.RunUntil(10 * Second)
+	if len(ran) != 2 || ran[1] != 2*Second {
+		t.Fatalf("ran at %v, want [1s 2s]", ran)
+	}
+	if s.Now() != 10*Second {
+		t.Fatalf("clock = %v after resume, want 10s", s.Now())
+	}
+}
+
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []int64 {
 		s := New(42)
