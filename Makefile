@@ -61,15 +61,15 @@ orphans:
 	  END {if (!n) {print "orphans: go list named no packages"; exit 1} \
 	    for (p in pkg) if (!(p in imported)) {print "orphan package, imported by nothing: " p; bad = 1}; exit bad}'
 
-# Build every example and smoke-run each at reduced scale, plus the
-# olia-trace recorder.
+# Build every example and smoke-run each at reduced scale, plus the Figs. 7/8
+# window-series CSV export.
 examples:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/quickstart -seconds 5 > /dev/null
 	$(GO) run ./examples/scenario_a -seconds 5 > /dev/null
 	$(GO) run ./examples/wireless_handover > /dev/null
 	$(GO) run ./examples/datacenter -seconds 1 > /dev/null
-	$(GO) run ./cmd/olia-trace -seconds 5 > /dev/null
+	$(GO) run ./cmd/mptcpsim -run fig7,fig8 -format csv -duration 5 -seeds 1 > /dev/null
 
 # Scenario fuzzer + cross-model conformance suite: 200 generated scenarios
 # under the full invariant set, then packet-vs-fluid/fixed-point goodput
@@ -112,4 +112,4 @@ bench-baseline: bench
 	@echo updated testdata/bench_baseline.json
 
 clean:
-	rm -f mptcpsim olia-trace bench_output.txt bench_kernel.txt coverage.*
+	rm -f mptcpsim bench_output.txt bench_kernel.txt coverage.*

@@ -3,6 +3,7 @@ package mptcpsim
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -276,8 +277,22 @@ func TestAnalyzeTwoPath(t *testing.T) {
 	if _, err := lab.Analyze([]float64{0.1}, []float64{0.1, 0.2}); err == nil {
 		t.Fatal("mismatched slices should error")
 	}
-	if _, err := lab.Analyze([]float64{0}, []float64{0.1}); err == nil {
-		t.Fatal("nonpositive loss should error")
+	for _, tc := range []struct {
+		name       string
+		loss, rtts []float64
+	}{
+		{"nonpositive loss", []float64{0}, []float64{0.1}},
+		{"NaN loss", []float64{math.NaN(), 0.01}, []float64{0.1, 0.1}},
+		{"infinite loss", []float64{math.Inf(1), 0.01}, []float64{0.1, 0.1}},
+		{"certain loss", []float64{1, 0.01}, []float64{0.1, 0.1}},
+		{"loss above one", []float64{0.01, 1.5}, []float64{0.1, 0.1}},
+		{"NaN rtt", []float64{0.01, 0.04}, []float64{0.1, math.NaN()}},
+		{"infinite rtt", []float64{0.01, 0.04}, []float64{math.Inf(1), 0.1}},
+		{"negative infinite rtt", []float64{0.01, 0.04}, []float64{0.1, math.Inf(-1)}},
+	} {
+		if _, err := lab.Analyze(tc.loss, tc.rtts); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("%s: err = %v, want ErrInvalidSpec", tc.name, err)
+		}
 	}
 }
 

@@ -41,27 +41,17 @@ func runTwoLink(cfg Config, sp *scenario.Spec) twoLinkOutcome {
 		trace.Probe{Name: "w2", Fn: func() float64 { return mp.Conn.CwndPkts(1) }},
 	)
 	rec.Start(0)
-	n.Sim.RunUntil(cfg.Warmup)
-	subBase := []int64{mp.PathGoodputBytes(0), mp.PathGoodputBytes(1)}
-	bgBase := [2]int64{sumGoodput(tcp1), sumGoodput(tcp2)}
-	n.Sim.RunUntil(stop)
-	secs := cfg.Duration.Sec()
-	var out twoLinkOutcome
-	out.mp1 = stats.Mbps(mp.PathGoodputBytes(0)-subBase[0], secs)
-	out.mp2 = stats.Mbps(mp.PathGoodputBytes(1)-subBase[1], secs)
-	out.bg1 = stats.Mbps(sumGoodput(tcp1)-bgBase[0], secs) / float64(len(tcp1))
-	out.bg2 = stats.Mbps(sumGoodput(tcp2)-bgBase[1], secs) / float64(len(tcp2))
-	out.flipsCount = flips(rec.Series(0), rec.Series(1))
-	return out
-}
-
-// sumGoodput totals the bytes a set of flows has delivered so far.
-func sumGoodput(flows []*scenario.Flow) int64 {
-	var total int64
-	for _, f := range flows {
-		total += f.GoodputBytes()
+	w, err := n.Measure(cfg.context())
+	if err != nil {
+		return twoLinkOutcome{} // cancelled: CollectResult discards the collection
 	}
-	return total
+	return twoLinkOutcome{
+		mp1:        stats.Mbps(w.PathBytes(mp, 0), w.Secs),
+		mp2:        stats.Mbps(w.PathBytes(mp, 1), w.Secs),
+		bg1:        w.Mbps(tcp1...) / float64(len(tcp1)),
+		bg2:        w.Mbps(tcp2...) / float64(len(tcp2)),
+		flipsCount: flips(rec.Series(0), rec.Series(1)),
+	}
 }
 
 // ablationEpsilon sweeps the ε-family of §II on the symmetric two-link rig:

@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"mptcpsim/internal/core"
-	"mptcpsim/internal/mptcp"
-	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/tcp"
@@ -14,44 +12,42 @@ import (
 	"mptcpsim/internal/workload"
 )
 
-// hostFlow abstracts "one host's long-lived transfer" across TCP and MPTCP.
-type hostFlow interface {
-	Goodput() int64
-}
-
-type tcpFlow struct{ sink *tcp.Sink }
-
-func (f tcpFlow) Goodput() int64 { return f.sink.GoodputBytes() }
-
-type mpFlow struct{ conn *mptcp.Conn }
-
-func (f mpFlow) Goodput() int64 { return f.conn.GoodputBytes() }
-
 // launchLongFlow starts host src's long-lived flow to dst using the given
-// algorithm ("tcp" or a core.Controllers key) with nsub subflows.
-func launchLongFlow(ft *topo.FatTree, src, dst int, algo string, nsub, flowID int) hostFlow {
+// algorithm ("tcp" or a core.Controllers key) with nsub subflows, and
+// returns the flow's receiving endpoints, one per path.
+func launchLongFlow(ft *topo.FatTree, src, dst int, algo string, nsub, flowID int) []*tcp.Sink {
 	rng := ft.S.Rand()
+	name := fmt.Sprintf("h%d", src)
 	if algo == "tcp" {
 		choice := ft.PickPaths(rng, src, dst, 1)[0]
-		s, sink := workload.NewBulk(ft.S, flowID, fmt.Sprintf("h%d", src), ft.Path(src, dst, choice), tcp.Config{})
+		s, sink := workload.NewBulk(ft.S, flowID, name, ft.Path(src, dst, choice), tcp.Config{})
 		s.Start(sim.RandBelow(rng, 100*sim.Millisecond))
-		return tcpFlow{sink}
+		return []*tcp.Sink{sink}
 	}
-	conn := mptcp.New(ft.S, fmt.Sprintf("h%d", src), core.Controllers[algo](), tcp.Config{})
+	var paths []workload.PathPair
+	for _, choice := range ft.PickPaths(rng, src, dst, nsub) {
+		paths = append(paths, ft.Path(src, dst, choice))
+	}
+	conn := workload.NewMultipath(ft.S, name, core.Controllers[algo](), tcp.Config{}, flowID, paths)
 	// The paper's data-center runs use htsim, whose subflows slow-start
 	// normally (the ssthresh=1 setting of §IV-B is the Linux testbed
 	// implementation).
 	conn.SetKeepSlowStart(true)
-	for i, choice := range ft.PickPaths(rng, src, dst, nsub) {
-		sf := conn.AddSubflow(flowID + i)
-		pp := ft.Path(src, dst, choice)
-		sf.SetRoutes(
-			netem.NewRoute(pp.Fwd...).Append(sf.Sink),
-			netem.NewRoute(pp.Rev...).Append(sf.Src),
-		)
-	}
 	conn.Start(sim.RandBelow(rng, 100*sim.Millisecond))
-	return mpFlow{conn}
+	sinks := make([]*tcp.Sink, len(paths))
+	for i, sf := range conn.Subflows() {
+		sinks[i] = sf.Sink
+	}
+	return sinks
+}
+
+// delivered sums the in-order bytes a flow's endpoints have received.
+func delivered(sinks []*tcp.Sink) int64 {
+	var total int64
+	for _, k := range sinks {
+		total += k.GoodputBytes()
+	}
+	return total
 }
 
 // dcThroughput runs the §VI-B1 experiment at point p: every host sends one
@@ -61,21 +57,21 @@ func dcThroughput(cfg Config, p dcPoint, seed int64) []float64 {
 	ft := topo.NewFatTree(topo.FatTreeConfig{K: cfg.FatTreeK, Seed: seed})
 	n := ft.NumHosts()
 	perm := workload.Permutation(ft.S.Rand(), n)
-	flows := make([]hostFlow, n)
+	flows := make([][]*tcp.Sink, n)
 	for i := 0; i < n; i++ {
 		flows[i] = launchLongFlow(ft, i, perm[i], p.algo, p.nsub, 10_000+100*i)
 	}
 	ft.S.RunUntil(cfg.DCWarmup)
 	base := make([]int64, n)
 	for i, f := range flows {
-		base[i] = f.Goodput()
+		base[i] = delivered(f)
 	}
 	ft.S.RunUntil(cfg.DCWarmup + cfg.DCDuration)
 	secs := cfg.DCDuration.Sec()
 	optimal := float64(ft.Cfg.LinkRateBps) / 1e6
 	out := make([]float64, n)
 	for i, f := range flows {
-		out[i] = stats.Mbps(f.Goodput()-base[i], secs) / optimal * 100
+		out[i] = stats.Mbps(delivered(f)-base[i], secs) / optimal * 100
 	}
 	return out
 }

@@ -12,6 +12,7 @@ import (
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 	"mptcpsim/internal/tcp"
+	"mptcpsim/internal/workload"
 )
 
 // probeMetrics is one §VII bad-path-suspension run: normalized rates plus
@@ -32,17 +33,17 @@ func runProbeSuspension(cfg Config, enable bool, seed int64) probeMetrics {
 			f.Conn.EnableProbeControl(mptcp.ProbeControl{})
 		}
 	}
-	n.Sim.RunUntil(cfg.Warmup)
-	mBase, sBase := goodputs(multi), goodputs(single)
-	n.Sim.RunUntil(cfg.Warmup + cfg.Duration)
-	secs := cfg.Duration.Sec()
+	w, err := n.Measure(cfg.context())
+	if err != nil {
+		return probeMetrics{} // cancelled: CollectResult discards the collection
+	}
 	var m probeMetrics
-	for i, f := range multi {
-		m.multi += stats.Mbps(f.GoodputBytes()-mBase[i], secs) / 2.0 / 20
+	for _, f := range multi {
+		m.multi += w.Mbps(f) / 2.0 / 20
 		m.suspends += f.Conn.SuspendCount(0) + f.Conn.SuspendCount(1)
 	}
-	for i, f := range single {
-		m.single += stats.Mbps(f.GoodputBytes()-sBase[i], secs) / 1.0 / 10
+	for _, f := range single {
+		m.single += w.Mbps(f) / 1.0 / 10
 	}
 	return m
 }
@@ -227,13 +228,16 @@ func textExtStreams(r *Result, w io.Writer) error {
 // launchSerial starts `count` back-to-back transfers over the compiled
 // two-link rig n, each beginning when the previous completes, reports each
 // completion time to completed, and stops the simulation when the last one
-// completes. The endpoints are wired by hand: each transfer is created when
-// the previous one finishes, which a Spec's fixed flow list cannot express.
+// completes. Each transfer gets its own endpoints when the previous one
+// finishes, which a Spec's fixed flow list cannot express.
 func launchSerial(n *scenario.Net, mode string, size int64, count int, completed func(sim.Time)) {
 	s := n.Sim
-	l1, l2, rev := n.Links[0], n.Links[1], n.Rev
-	// trim is a fresh access pipe with the testbed's 40 ms one-way delay.
-	trim := func() *netem.Pipe { return netem.NewPipe(s, 40*sim.Millisecond, "trim") }
+	// path crosses link l behind a fresh access pipe with the testbed's
+	// 40 ms one-way delay.
+	path := func(l *scenario.CompiledLink) workload.PathPair {
+		trim := netem.NewPipe(s, 40*sim.Millisecond, "trim")
+		return workload.PathPair{Fwd: []netem.Node{trim, l.Queue, l.Pipe}, Rev: []netem.Node{n.Rev.Q, n.Rev.P}}
+	}
 	var startNext func(i int)
 	startNext = func(i int) {
 		if i >= count {
@@ -246,28 +250,19 @@ func launchSerial(n *scenario.Net, mode string, size int64, count int, completed
 			startNext(i + 1)
 		}
 		if mode == "tcp" {
-			src := tcp.NewSrc(s, 5000+i, "xfer", tcp.Config{FlowBytes: size})
-			sink := tcp.NewSink(s)
-			src.SetRoute(netem.NewRoute(trim(), l1.Queue, l1.Pipe).Append(sink))
-			sink.SetRoute(netem.NewRoute(rev.Q, rev.P).Append(src))
+			src, _ := workload.NewBulk(s, 5000+i, "xfer", path(n.Links[0]), tcp.Config{FlowBytes: size})
 			src.OnComplete = func(*tcp.Src) { done() }
 			src.Start(s.Now())
 			return
 		}
-		conn := mptcp.New(s, fmt.Sprintf("xfer%d", i), core.Controllers["olia"](), tcp.Config{})
+		conn := workload.NewMultipath(s, fmt.Sprintf("xfer%d", i), core.Controllers["olia"](), tcp.Config{},
+			6000+2*i, []workload.PathPair{path(n.Links[0]), path(n.Links[1])})
 		// Finite transfers need slow start: the §IV-B ssthresh=1 setting
 		// (meant for long-lived flows probing congested paths) would make a
 		// 512 KB stream crawl from a 1-packet window in congestion
 		// avoidance — ~3x slower than plain TCP. This is why the paper's
 		// own short-flow workload uses regular TCP.
 		conn.SetKeepSlowStart(true)
-		for j, l := range []*scenario.CompiledLink{l1, l2} {
-			sf := conn.AddSubflow(6000 + 2*i + j)
-			sf.SetRoutes(
-				netem.NewRoute(trim(), l.Queue, l.Pipe).Append(sf.Sink),
-				netem.NewRoute(rev.Q, rev.P).Append(sf.Src),
-			)
-		}
 		st := mptcp.NewStream(conn, size, 0)
 		st.OnComplete = func(*mptcp.Stream) { done() }
 		st.Start(s.Now())
@@ -379,13 +374,13 @@ func runDelack(cfg Config, delayed bool) delackOutcome {
 			}
 		}
 	}
-	n.Sim.RunUntil(cfg.Warmup)
-	mpBase, bgBase := mp.GoodputBytes(), sumGoodput(bg)
-	n.Sim.RunUntil(cfg.Warmup + cfg.Duration)
-	secs := cfg.Duration.Sec()
+	w, err := n.Measure(cfg.context())
+	if err != nil {
+		return delackOutcome{} // cancelled: CollectResult discards the collection
+	}
 	return delackOutcome{
-		mpMbps:     stats.Mbps(mp.GoodputBytes()-mpBase, secs),
-		bgMeanMbps: stats.Mbps(sumGoodput(bg)-bgBase, secs) / float64(len(bg)),
+		mpMbps:     w.Mbps(mp),
+		bgMeanMbps: w.Mbps(bg...) / float64(len(bg)),
 	}
 }
 

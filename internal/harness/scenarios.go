@@ -5,20 +5,9 @@ import (
 	"io"
 
 	"mptcpsim/internal/fixedpoint"
-	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
 	"mptcpsim/internal/stats"
 )
-
-// lossWindow measures a queue's loss probability over [warmup, end].
-type lossWindow struct {
-	q    netem.Queue
-	base netem.Counters
-}
-
-func snapLoss(q netem.Queue) *lossWindow { return &lossWindow{q: q, base: q.Stats()} }
-
-func (lw *lossWindow) prob() float64 { return lw.q.Stats().Sub(lw.base).LossProb() }
 
 // compileRig builds one of the harness's testbed rigs. The harness passes
 // the spec builders fixed, valid parameters, so an error is a bug.
@@ -28,15 +17,6 @@ func compileRig(sp *scenario.Spec) *scenario.Net {
 		panic(fmt.Sprintf("harness: %s spec invalid: %v", sp.Name, err))
 	}
 	return n
-}
-
-// goodputs snapshots the bytes each flow has delivered so far.
-func goodputs(flows []*scenario.Flow) []int64 {
-	out := make([]int64, len(flows))
-	for i, f := range flows {
-		out[i] = f.GoodputBytes()
-	}
-	return out
 }
 
 // aMetrics are the Scenario A observables of Figs. 1, 9 and 10 from one
@@ -53,20 +33,19 @@ func runScenarioA(cfg Config, p aPoint, seed int64) aMetrics {
 	const n2, c2 = 10, 1.0
 	n := compileRig(scenario.PaperScenarioA(
 		p.n1, n2, p.c1, c2, p.algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	n.Sim.RunUntil(cfg.Warmup)
+	w, err := n.Measure(cfg.context())
+	if err != nil {
+		return aMetrics{} // cancelled: CollectResult discards the collection
+	}
 	type1, type2 := n.Groups[0], n.Groups[1]
-	t1Base, t2Base := goodputs(type1), goodputs(type2)
-	l1, l2 := snapLoss(n.Links[0].Queue), snapLoss(n.Links[1].Queue)
-	n.Sim.RunUntil(cfg.Warmup + cfg.Duration)
-	secs := cfg.Duration.Sec()
 	var m aMetrics
-	for i, f := range type1 {
-		m.t1Norm += stats.Mbps(f.GoodputBytes()-t1Base[i], secs) / p.c1 / float64(p.n1)
+	for _, f := range type1 {
+		m.t1Norm += w.Mbps(f) / p.c1 / float64(p.n1)
 	}
-	for i, f := range type2 {
-		m.t2Norm += stats.Mbps(f.GoodputBytes()-t2Base[i], secs) / c2 / float64(n2)
+	for _, f := range type2 {
+		m.t2Norm += w.Mbps(f) / c2 / float64(n2)
 	}
-	m.p1, m.p2 = l1.prob(), l2.prob()
+	m.p1, m.p2 = w.Queues[0].LossProb(), w.Queues[1].LossProb()
 	return m
 }
 
@@ -198,20 +177,19 @@ func runScenarioC(cfg Config, p cPoint, seed int64) cMetrics {
 	const n2, c2 = 10, 1.0
 	n := compileRig(scenario.PaperScenarioC(
 		p.n1, n2, p.c1, c2, p.algo, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	n.Sim.RunUntil(cfg.Warmup)
+	w, err := n.Measure(cfg.context())
+	if err != nil {
+		return cMetrics{} // cancelled: CollectResult discards the collection
+	}
 	multi, single := n.Groups[0], n.Groups[1]
-	mBase, sBase := goodputs(multi), goodputs(single)
-	l1, l2 := snapLoss(n.Links[0].Queue), snapLoss(n.Links[1].Queue)
-	n.Sim.RunUntil(cfg.Warmup + cfg.Duration)
-	secs := cfg.Duration.Sec()
 	var m cMetrics
-	for i, f := range multi {
-		m.multiNorm += stats.Mbps(f.GoodputBytes()-mBase[i], secs) / p.c1 / float64(p.n1)
+	for _, f := range multi {
+		m.multiNorm += w.Mbps(f) / p.c1 / float64(p.n1)
 	}
-	for i, f := range single {
-		m.singleNorm += stats.Mbps(f.GoodputBytes()-sBase[i], secs) / c2 / float64(n2)
+	for _, f := range single {
+		m.singleNorm += w.Mbps(f) / c2 / float64(n2)
 	}
-	m.p1, m.p2 = l1.prob(), l2.prob()
+	m.p1, m.p2 = w.Queues[0].LossProb(), w.Queues[1].LossProb()
 	return m
 }
 
@@ -334,17 +312,17 @@ func runScenarioB(cfg Config, algo string, redMultipath bool, seed int64) bMetri
 	const n = 15
 	net := compileRig(scenario.PaperScenarioB(
 		n, 27, 36, algo, redMultipath, seed, cfg.Warmup.Sec(), cfg.Duration.Sec()))
-	net.Sim.RunUntil(cfg.Warmup)
-	blue, red := net.Groups[0], net.Groups[1]
-	blueBase, redBase := goodputs(blue), goodputs(red)
-	net.Sim.RunUntil(cfg.Warmup + cfg.Duration)
-	secs := cfg.Duration.Sec()
-	var m bMetrics
-	for i, f := range blue {
-		m.bluePerUser += stats.Mbps(f.GoodputBytes()-blueBase[i], secs) / n
+	w, err := net.Measure(cfg.context())
+	if err != nil {
+		return bMetrics{} // cancelled: CollectResult discards the collection
 	}
-	for i, f := range red {
-		m.redPerUser += stats.Mbps(f.GoodputBytes()-redBase[i], secs) / n
+	blue, red := net.Groups[0], net.Groups[1]
+	var m bMetrics
+	for _, f := range blue {
+		m.bluePerUser += w.Mbps(f) / n
+	}
+	for _, f := range red {
+		m.redPerUser += w.Mbps(f) / n
 	}
 	m.aggregate = n * (m.bluePerUser + m.redPerUser)
 	return m

@@ -8,6 +8,7 @@ import (
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/tcp"
+	"mptcpsim/internal/workload"
 )
 
 // CompiledLink is one built link with the handles the invariant checks and
@@ -33,6 +34,9 @@ type Flow struct {
 	Spec    int
 	Replica int
 	Name    string
+	// slot is the position of the flow's first path among the paths of
+	// every flow in Net.Flows order, for Window lookups.
+	slot int
 
 	// Conn is the multipath connection (nil for AlgoTCP flows).
 	Conn *mptcp.Conn
@@ -45,21 +49,8 @@ type Flow struct {
 
 	// AckTap counts ACKs delivered back to this flow's senders, for the
 	// conservation invariant.
-	AckTap *netem.Tap
+	AckTap netem.Tap
 }
-
-// GoodputBytes sums in-order bytes delivered across the flow's paths.
-func (f *Flow) GoodputBytes() int64 {
-	var total int64
-	for _, k := range f.Sinks {
-		total += k.GoodputBytes()
-	}
-	return total
-}
-
-// PathGoodputBytes reports in-order bytes delivered on path i (flow-local
-// index).
-func (f *Flow) PathGoodputBytes(i int) int64 { return f.Sinks[i].GoodputBytes() }
 
 // SentPkts sums data segments transmitted (retransmissions included)
 // across the flow's senders.
@@ -90,6 +81,8 @@ type Net struct {
 	// pathFlows indexes, per Spec.Paths entry, every sender routed over
 	// that path, for timeline flap events.
 	pathFlows [][]pathRef
+	// slots counts the paths of every flow, for Window.
+	slots int
 }
 
 // Compile validates the spec and builds its network. Elements are created
@@ -222,7 +215,7 @@ func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
 		Spec:    fi,
 		Replica: replica,
 		Name:    fmt.Sprintf("%s-%d", name, replica),
-		AckTap:  &netem.Tap{},
+		slot:    n.slots,
 	}
 	cfg := tcp.Config{FlowBytes: fs.FlowBytes, MaxCwndPkts: fs.MaxCwndPkts, NoIncreaseCap: fs.NoIncreaseCap}
 	if fs.Scheduler != "" {
@@ -230,28 +223,29 @@ func (n *Net) buildFlow(fi, replica, flowID int) *Flow {
 		// and the stream portions FlowBytes out in chunks.
 		cfg.FlowBytes = 0
 	}
-	rev := n.Rev
+	// Every path returns its ACKs over the shared reverse link, through the
+	// flow's ACK tap.
+	rev := []netem.Node{n.Rev.Q, n.Rev.P, &f.AckTap}
+	for i, pi := range fs.Paths {
+		n.pathFlows[pi] = append(n.pathFlows[pi], pathRef{flow: f, sub: i})
+	}
+	n.slots += len(fs.Paths)
 
 	if fs.Algorithm == AlgoTCP {
-		src := tcp.NewSrc(n.Sim, flowID, f.Name, cfg)
-		sink := tcp.NewSink(n.Sim)
-		src.SetRoute(netem.NewRoute(n.forwardHops(fs.Paths[0])...).Append(sink))
-		sink.SetRoute(netem.NewRoute(rev.Q, rev.P, f.AckTap, src))
+		src, sink := workload.NewBulk(n.Sim, flowID, f.Name, workload.PathPair{Fwd: n.forwardHops(fs.Paths[0]), Rev: rev}, cfg)
 		src.Start(n.startAt(fs))
 		f.Srcs, f.Sinks = []*tcp.Src{src}, []*tcp.Sink{sink}
-		n.pathFlows[fs.Paths[0]] = append(n.pathFlows[fs.Paths[0]], pathRef{flow: f, sub: 0})
 	} else {
-		conn := mptcp.New(n.Sim, f.Name, core.Controllers[fs.Algorithm](), cfg)
-		conn.SetKeepSlowStart(fs.KeepSlowStart)
+		paths := make([]workload.PathPair, len(fs.Paths))
 		for i, pi := range fs.Paths {
-			sf := conn.AddSubflow(flowID + i)
-			sf.SetRoutes(
-				netem.NewRoute(n.forwardHops(pi)...).Append(sf.Sink),
-				netem.NewRoute(rev.Q, rev.P, f.AckTap, sf.Src),
-			)
-			f.Srcs = append(f.Srcs, sf.Src)
-			f.Sinks = append(f.Sinks, sf.Sink)
-			n.pathFlows[pi] = append(n.pathFlows[pi], pathRef{flow: f, sub: i})
+			paths[i] = workload.PathPair{Fwd: n.forwardHops(pi), Rev: rev}
+		}
+		conn := workload.NewMultipath(n.Sim, f.Name, core.Controllers[fs.Algorithm](), cfg, flowID, paths)
+		conn.SetKeepSlowStart(fs.KeepSlowStart)
+		subs := conn.Subflows()
+		f.Srcs, f.Sinks = make([]*tcp.Src, len(subs)), make([]*tcp.Sink, len(subs))
+		for i, sf := range subs {
+			f.Srcs[i], f.Sinks[i] = sf.Src, sf.Sink
 		}
 		if fs.Scheduler != "" {
 			sched, err := mptcp.NewScheduler(fs.Scheduler)

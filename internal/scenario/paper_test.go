@@ -1,12 +1,10 @@
 package scenario
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
-
-	"mptcpsim/internal/sim"
-	"mptcpsim/internal/stats"
 )
 
 // The paper rigs are checked qualitatively here, over a 5 s warm-up and a
@@ -16,27 +14,23 @@ const (
 	paperMeasureSec = 55
 )
 
-// windowMbps compiles sp and runs it through the warm-up and measurement
-// window. It returns each flow group's per-replica goodput over the window
-// in Mb/s, and the compiled network for further inspection.
+// windowMbps compiles sp and measures it (Net.Measure). It returns each
+// flow group's per-replica goodput over the window in Mb/s, and the
+// compiled network for further inspection.
 func windowMbps(t *testing.T, sp *Spec) ([][]float64, *Net) {
 	t.Helper()
 	n, err := Compile(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Sim.RunUntil(sim.Seconds(paperWarmupSec))
-	base := make([][]int64, len(n.Groups))
-	for g, flows := range n.Groups {
-		for _, f := range flows {
-			base[g] = append(base[g], f.GoodputBytes())
-		}
+	w, err := n.Measure(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	n.Sim.RunUntil(sim.Seconds(paperWarmupSec + paperMeasureSec))
 	rates := make([][]float64, len(n.Groups))
 	for g, flows := range n.Groups {
-		for i, f := range flows {
-			rates[g] = append(rates[g], stats.Mbps(f.GoodputBytes()-base[g][i], paperMeasureSec))
+		for _, f := range flows {
+			rates[g] = append(rates[g], w.Mbps(f))
 		}
 	}
 	return rates, n
@@ -187,17 +181,12 @@ func TestScenarioBStructure(t *testing.T) {
 }
 
 func TestTwoLinkSmoke(t *testing.T) {
-	n, err := Compile(TwoLink(10, 5, 5, "olia", 4, 0, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Sim.RunUntil(20 * sim.Second)
-	mp := n.Groups[2][0]
-	if mp.Conn == nil || mp.GoodputBytes() == 0 {
+	rates, n := windowMbps(t, TwoLink(10, 5, 5, "olia", 4, 0, 20))
+	if mp := n.Groups[2][0]; mp.Conn == nil || rates[2][0] == 0 {
 		t.Fatal("multipath user idle")
 	}
-	for _, f := range append(n.Groups[0], n.Groups[1]...) {
-		if f.GoodputBytes() == 0 {
+	for _, r := range append(rates[0], rates[1]...) {
+		if r == 0 {
 			t.Fatal("tcp user idle")
 		}
 	}

@@ -21,8 +21,8 @@ func newProgressCounter(fn func(done, total int), total int) *runner.Progress {
 // cancelled mid-run. sim.RunUntil is exact at window boundaries, so the
 // sliced execution processes the identical event sequence as one
 // uninterrupted call; with a non-cancellable context the slicing is
-// skipped entirely. Both scenario.Run and the facade's Lab.Simulate
-// advance their simulations through this single helper.
+// skipped entirely. Net.Measure advances every measured run through this
+// helper.
 func AdvanceUntil(ctx context.Context, s *sim.Sim, from, to sim.Time) error {
 	if ctx.Done() == nil {
 		s.RunUntil(to)

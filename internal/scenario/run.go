@@ -149,8 +149,8 @@ func (m *monitor) sample(now sim.Time) {
 	}
 }
 
-// Run compiles and executes the scenario, measuring goodput over
-// [Warmup, Warmup+Duration] and checking every invariant:
+// Run compiles and executes the scenario, measuring goodput over the
+// measured window (Net.Measure) and checking every invariant:
 //
 //   - queue occupancy stays within the configured buffer bound (sampled);
 //   - congestion windows stay positive and finite (sampled);
@@ -165,10 +165,7 @@ func (m *monitor) sample(now sim.Time) {
 //
 // Cancelling ctx abandons the simulation at the next one-second
 // virtual-time boundary and returns an error wrapping ctx.Err(). The
-// cancellation probe never perturbs the run: sim.RunUntil is exact at
-// window boundaries, so a run sliced into chunks processes the identical
-// event sequence as one uninterrupted call (and with a background context
-// the slicing is skipped entirely).
+// cancellation probe never perturbs the run (see AdvanceUntil).
 func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 	n, err := Compile(sp)
 	if err != nil {
@@ -176,37 +173,20 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 	}
 	r := &RunReport{Name: sp.Name, Seed: sp.Seed}
 	m := newMonitor(n, r)
-	warm := sim.Seconds(sp.WarmupSec)
-	end := sp.EndTime()
-
-	// Window bases, snapped when the warm-up closes.
-	qBase := make([]netem.Counters, len(n.Links))
-	flowBase := make([][]int64, len(n.Flows))
-	n.Sim.At(warm, func() {
-		for i, l := range n.Links {
-			qBase[i] = l.Queue.Stats()
-		}
-		for i, f := range n.Flows {
-			flowBase[i] = make([]int64, len(f.Sinks))
-			for pi, k := range f.Sinks {
-				flowBase[i][pi] = k.GoodputBytes()
-			}
-		}
-	})
 	m.RunEvent(0) // first sample at t=0, then every samplePeriod
-	if err := AdvanceUntil(ctx, n.Sim, 0, end); err != nil {
-		return nil, fmt.Errorf("scenario %q: run canceled: %w", sp.Name, err)
+	w, err := n.Measure(ctx)
+	if err != nil {
+		return nil, err
 	}
 
-	secs := sp.DurationSec
-	for i, f := range n.Flows {
+	for _, f := range n.Flows {
 		fr := FlowReport{
 			Name:      f.Name,
 			Algorithm: sp.Flows[f.Spec].Algorithm,
 			SentPkts:  f.SentPkts(),
 		}
 		for pi, k := range f.Sinks {
-			mbps := stats.Mbps(k.GoodputBytes()-flowBase[i][pi], secs)
+			mbps := stats.Mbps(w.PathBytes(f, pi), w.Secs)
 			fr.PathMbps = append(fr.PathMbps, mbps)
 			fr.GoodputMbps += mbps
 			fr.GoodputBytes += k.GoodputBytes()
@@ -229,11 +209,10 @@ func Run(ctx context.Context, sp *Spec) (*RunReport, error) {
 		r.Flows = append(r.Flows, fr)
 	}
 	for i, l := range n.Links {
-		c := l.Queue.Stats()
 		qr := QueueReport{
 			Link:     i,
-			Total:    c,
-			Window:   c.Sub(qBase[i]),
+			Total:    l.Queue.Stats(),
+			Window:   w.Queues[i],
 			FinalLen: l.Queue.Len(),
 			MaxLen:   m.maxLen[i],
 		}

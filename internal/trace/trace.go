@@ -3,12 +3,7 @@
 // sampling probes at a fixed period.
 package trace
 
-import (
-	"fmt"
-	"io"
-
-	"mptcpsim/internal/sim"
-)
+import "mptcpsim/internal/sim"
 
 // Point is one sample of one probe.
 type Point struct {
@@ -59,57 +54,6 @@ func (r *Recorder) RunEvent(now sim.Time) {
 
 // Series returns the samples of probe i.
 func (r *Recorder) Series(i int) []Point { return r.data[i] }
-
-// SeriesByName returns the samples of the named probe, or nil.
-func (r *Recorder) SeriesByName(name string) []Point {
-	for i, p := range r.probes {
-		if p.Name == name {
-			return r.data[i]
-		}
-	}
-	return nil
-}
-
-// Names lists the probe names in order.
-func (r *Recorder) Names() []string {
-	out := make([]string, len(r.probes))
-	for i, p := range r.probes {
-		out[i] = p.Name
-	}
-	return out
-}
-
-// WriteCSV emits "t,<name1>,<name2>,..." rows, seconds in the first column.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprint(w, "t"); err != nil {
-		return err
-	}
-	for _, p := range r.probes {
-		if _, err := fmt.Fprintf(w, ",%s", p.Name); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	if len(r.data) == 0 || len(r.data[0]) == 0 {
-		return nil
-	}
-	for row := range r.data[0] {
-		if _, err := fmt.Fprintf(w, "%.3f", r.data[0][row].T.Sec()); err != nil {
-			return err
-		}
-		for col := range r.probes {
-			if _, err := fmt.Fprintf(w, ",%.4f", r.data[col][row].V); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // MeanAfter averages the samples of probe i taken at or after t0 (warm-up
 // exclusion).

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"mptcpsim/internal/sim"
@@ -27,56 +26,18 @@ func TestRecorderSamplesAtPeriod(t *testing.T) {
 	}
 }
 
-func TestRecorderMultipleProbesAndNames(t *testing.T) {
+func TestRecorderMultipleProbes(t *testing.T) {
 	s := sim.New(1)
 	rec := NewRecorder(s, 50*sim.Millisecond, 200*sim.Millisecond,
 		Probe{Name: "a", Fn: func() float64 { return 1 }},
 		Probe{Name: "b", Fn: func() float64 { return 2 }})
 	rec.Start(0)
 	s.RunUntil(sim.Second)
-	if got := rec.SeriesByName("b"); len(got) == 0 || got[0].V != 2 {
-		t.Fatalf("series b: %v", got)
-	}
-	if rec.SeriesByName("zzz") != nil {
-		t.Fatal("unknown name should be nil")
-	}
-	names := rec.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names %v", names)
-	}
-}
-
-func TestRecorderCSV(t *testing.T) {
-	s := sim.New(1)
-	rec := NewRecorder(s, 500*sim.Millisecond, sim.Second,
-		Probe{Name: "x", Fn: func() float64 { return 7 }})
-	rec.Start(0)
-	s.RunUntil(2 * sim.Second)
-	var b strings.Builder
-	if err := rec.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if lines[0] != "t,x" {
-		t.Fatalf("header %q", lines[0])
-	}
-	if len(lines) != 4 { // header + 3 samples (0, 0.5, 1.0)
-		t.Fatalf("lines %d: %v", len(lines), lines)
-	}
-	if !strings.HasPrefix(lines[1], "0.000,7") {
-		t.Fatalf("row %q", lines[1])
-	}
-}
-
-func TestRecorderCSVEmpty(t *testing.T) {
-	s := sim.New(1)
-	rec := NewRecorder(s, sim.Second, 2*sim.Second, Probe{Name: "x", Fn: func() float64 { return 0 }})
-	var b strings.Builder
-	if err := rec.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(b.String()) != "t,x" {
-		t.Fatalf("empty CSV %q", b.String())
+	for i, want := range []float64{1, 2} {
+		got := rec.Series(i)
+		if len(got) != 5 || got[0].V != want || got[4].T != 200*sim.Millisecond {
+			t.Fatalf("series %d: %v, want 5 samples of %v up to 200ms", i, got, want)
+		}
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"math"
 	"math/rand"
 
+	"mptcpsim/internal/core"
+	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/tcp"
@@ -31,6 +33,21 @@ func NewBulk(s *sim.Sim, id int, name string, path PathPair, cfg tcp.Config) (*t
 	src.SetRoute(netem.NewRoute(path.Fwd...).Append(sink))
 	sink.SetRoute(netem.NewRoute(path.Rev...).Append(src))
 	return src, sink
+}
+
+// NewMultipath wires a multipath connection with one subflow per path:
+// subflow i carries flow ID firstID+i over paths[i]. Call Start on the
+// returned connection, or hand it to a stream.
+func NewMultipath(s *sim.Sim, name string, ctrl core.Controller, cfg tcp.Config, firstID int, paths []PathPair) *mptcp.Conn {
+	conn := mptcp.New(s, name, ctrl, cfg)
+	for i, p := range paths {
+		sf := conn.AddSubflow(firstID + i)
+		sf.SetRoutes(
+			netem.NewRoute(p.Fwd...).Append(sf.Sink),
+			netem.NewRoute(p.Rev...).Append(sf.Src),
+		)
+	}
+	return conn
 }
 
 // Permutation returns a uniformly random permutation of 0..n-1 with no fixed

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -321,8 +322,8 @@ func (l *Lab) Conform(ctx context.Context, opts ConformanceOptions) (*Conformanc
 }
 
 // Analyze evaluates the paper's loss-throughput fixed points for a user
-// with the given per-path loss probabilities and RTTs (seconds), without
-// simulation. MSS is 1500 B.
+// with the given per-path loss probabilities (in (0, 1)) and RTTs (positive
+// and finite, seconds), without simulation. MSS is 1500 B.
 func (l *Lab) Analyze(loss, rtts []float64) (TwoPathAnalysis, error) {
 	const op = "analyze"
 	if len(loss) != len(rtts) || len(loss) == 0 {
@@ -330,9 +331,10 @@ func (l *Lab) Analyze(loss, rtts []float64) (TwoPathAnalysis, error) {
 			fmt.Errorf("need matching non-empty loss and rtt slices (%d vs %d)", len(loss), len(rtts)))
 	}
 	for i := range loss {
-		if loss[i] <= 0 || rtts[i] <= 0 {
+		// The negated comparisons also reject NaN.
+		if !(loss[i] > 0 && loss[i] < 1) || !(rtts[i] > 0) || math.IsInf(rtts[i], 1) {
 			return TwoPathAnalysis{}, apiErr(op, "", ErrInvalidSpec,
-				fmt.Errorf("loss and rtt must be positive (path %d: p=%g rtt=%g)", i, loss[i], rtts[i]))
+				fmt.Errorf("loss must lie in (0, 1) and rtt be positive and finite (path %d: p=%g rtt=%g)", i, loss[i], rtts[i]))
 		}
 	}
 	var out TwoPathAnalysis

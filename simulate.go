@@ -6,9 +6,7 @@ import (
 
 	"mptcpsim/internal/core"
 	"mptcpsim/internal/harness"
-	"mptcpsim/internal/netem"
 	"mptcpsim/internal/scenario"
-	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
 )
 
@@ -184,7 +182,7 @@ func (l *Lab) Simulate(ctx context.Context, sc Scenario) (Report, error) {
 
 	// The multipath user is the last flow group; background group b of
 	// path i sits at listing position prefix(i)+b.
-	conn := n.Flows[len(n.Flows)-1].Conn
+	mp := n.Flows[len(n.Flows)-1]
 	bgGroup := make([][]*scenario.Flow, len(sc.Paths))
 	pos := 0
 	for i, p := range sc.Paths {
@@ -192,38 +190,19 @@ func (l *Lab) Simulate(ctx context.Context, sc Scenario) (Report, error) {
 		pos += p.BackgroundTCP
 	}
 
-	warm := 2 * sim.Second
-	end := warm + sim.Seconds(dur)
-	if err := scenario.AdvanceUntil(ctx, n.Sim, 0, warm); err != nil {
+	w, err := n.Measure(ctx)
+	if err != nil {
 		return Report{}, apiErr(op, "", ErrCanceled, err)
 	}
-	mpBase := make([]int64, len(sc.Paths))
-	bgBase := make([]int64, len(sc.Paths))
-	qBase := make([]netem.Counters, len(sc.Paths))
-	for i := range sc.Paths {
-		mpBase[i] = conn.Subflows()[i].Sink.GoodputBytes()
-		for _, f := range bgGroup[i] {
-			bgBase[i] += f.Sinks[0].GoodputBytes()
-		}
-		qBase[i] = n.Links[i].Queue.Stats()
-	}
-	if err := scenario.AdvanceUntil(ctx, n.Sim, warm, end); err != nil {
-		return Report{}, apiErr(op, "", ErrCanceled, err)
-	}
-
 	var rep Report
 	for i := range sc.Paths {
 		pr := PathReport{
-			MultipathMbps: stats.Mbps(conn.Subflows()[i].Sink.GoodputBytes()-mpBase[i], dur),
-			LossProb:      n.Links[i].Queue.Stats().Sub(qBase[i]).LossProb(),
-			CwndPkts:      conn.CwndPkts(i),
+			MultipathMbps: stats.Mbps(w.PathBytes(mp, i), w.Secs),
+			LossProb:      w.Queues[i].LossProb(),
+			CwndPkts:      mp.Conn.CwndPkts(i),
 		}
 		if nBG := len(bgGroup[i]); nBG > 0 {
-			var total int64
-			for _, f := range bgGroup[i] {
-				total += f.Sinks[0].GoodputBytes()
-			}
-			pr.BackgroundMbps = stats.Mbps(total-bgBase[i], dur) / float64(nBG)
+			pr.BackgroundMbps = w.Mbps(bgGroup[i]...) / float64(nBG)
 		}
 		rep.TotalMbps += pr.MultipathMbps
 		rep.Paths = append(rep.Paths, pr)
